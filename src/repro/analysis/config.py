@@ -7,7 +7,6 @@ the shipped defaults stay in one reviewable place:
 
 * which package layers may import which (:data:`ALLOWED_DEPS` — the
   DAG behind rule R201);
-* which modules are deprecated shims (R203);
 * where the trace taxonomy is declared and who must consume it
   (R301-R304);
 * which modules are benchmark-pinned hot paths (R4);
@@ -130,9 +129,6 @@ class LintConfig:
     allowed_deps: Mapping[str, frozenset[str]] = field(
         default_factory=lambda: dict(ALLOWED_DEPS)
     )
-    deprecated_modules: Mapping[str, str] = field(
-        default_factory=lambda: {"repro.network.events": "repro.sim.events"}
-    )
     # R3: where the taxonomy lives and which consumers must reference
     # which of its names.
     taxonomy_module: str = "repro.sim.trace"
@@ -173,6 +169,7 @@ class LintConfig:
     population_module: str = "repro.fl.population"
     population_restricted_modules: frozenset[str] = frozenset(
         {
+            "repro.fl.engine",
             "repro.fl.sync_engine",
             "repro.fl.async_engine",
             "repro.fl.batched",

@@ -14,6 +14,8 @@ offline, dropout faults park it until the next model version, and
 data-loss faults destroy delivered uploads in transit.  Every
 occurrence is published on the trace bus, and results are read back
 from the attached :class:`~repro.fl.metrics.MetricsReducer`.
+Construction, snapshots and the upload plumbing are shared with the
+synchronous engine in :mod:`repro.fl.engine`.
 
 Chaos extensions (all off by default; the legacy event sequence and
 trajectories stay bit-identical): a :class:`~repro.sim.FaultPlan`
@@ -42,12 +44,13 @@ import numpy as np
 from repro.fl.batched import train_clients_batched
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.config import FederationConfig
+from repro.fl.engine import Engine
 from repro.fl.faults import FaultInjector
-from repro.fl.metrics import MetricsReducer, RunResult
+from repro.fl.metrics import RunResult
 from repro.fl.population import ClientPopulation
 from repro.fl.server import Server
 from repro.fl.strategy import AsyncStrategy
-from repro.fl.validation import UpdateValidator, verify_frame
+from repro.fl.validation import verify_frame
 from repro.network.conditions import NetworkConditions
 from repro.transport.base import PeerGone
 from repro.sim import (
@@ -59,8 +62,6 @@ from repro.sim import (
     HALTED,
     RetryPolicy,
     RUN_END,
-    RUN_START,
-    SimKernel,
     WOKEN,
 )
 
@@ -71,13 +72,6 @@ __all__ = ["AsyncEngine", "DOWNLINK_RETRY_BACKOFF"]
 # lands at ``(1 + backoff) * duration`` after the original dispatch.
 # Each retry re-rolls the link and is charged its own bytes.
 DOWNLINK_RETRY_BACKOFF = 1.0
-
-# The historical downlink schedule as a policy: constant backoff, one
-# drop event per failed attempt — but now capped so a dead link cannot
-# spin a client forever.
-_DEFAULT_DOWNLINK_RETRY = RetryPolicy(
-    max_attempts=8, backoff_frac=DOWNLINK_RETRY_BACKOFF, multiplier=1.0
-)
 
 _MODEL_ARRIVAL = "model_arrival"
 _MODEL_RETRY = "model_retry"
@@ -95,8 +89,17 @@ class _InFlight:
     frame_bytes: bytes = b""
 
 
-class AsyncEngine:
+class AsyncEngine(Engine):
     """Runs an asynchronous federated training session."""
+
+    mode = "async"
+    # The historical downlink schedule as a policy: constant backoff,
+    # one drop event per failed attempt — but capped so a dead link
+    # cannot spin a client forever.
+    default_downlink_retry = RetryPolicy(
+        max_attempts=8, backoff_frac=DOWNLINK_RETRY_BACKOFF, multiplier=1.0
+    )
+    initial_extra = {"halted": [], "total_updates": 0, "last_snapshot_at": -1}
 
     def __init__(
         self,
@@ -115,85 +118,26 @@ class AsyncEngine:
         on_snapshot=None,
         transport=None,
     ):
-        # A remote transport owns the client processes; its population
-        # facade replaces any clients argument.  In-memory transports
-        # (None or InMemoryTransport) keep the historical path exactly.
-        self._transport = transport
-        self._remote = bool(transport is not None and getattr(transport, "remote", False))
-        if self._remote:
-            if snapshot_path is not None:
-                raise ValueError(
-                    "snapshots are not supported over a remote transport "
-                    "(worker-side client state is not reachable)"
-                )
-            self.clients = ClientPopulation.ensure(transport.population())
-        else:
-            if clients is None or not len(clients):
-                raise ValueError("need at least one client")
-            # The engine resolves every client through the population
-            # registry; a plain list becomes the always-live compat wrapper.
-            self.clients = ClientPopulation.ensure(clients)
-        self.server = server
-        self.strategy = strategy
-        self.config = config
-        self.faults = faults if faults is not None else FaultInjector()
-        # Availability churn (repro.network.churn); None = always on.
-        self._churn = churn
-        self._chaos = chaos
-        if chaos is not None:
-            chaos.bind(config.seed, len(self.clients))
-        self._validator = (
-            UpdateValidator(config.validation) if config.validation is not None else None
+        super().__init__(
+            server, clients, strategy, config, network, faults, device_flops,
+            churn, chaos, trace, snapshot_path, snapshot_every, on_snapshot,
+            transport,
         )
-        self._dl_policy = config.downlink_retry or _DEFAULT_DOWNLINK_RETRY
-        self._ul_policy = config.uplink_retry or RetryPolicy.single()
-        self._kernel = SimKernel(
-            seed=config.seed,
-            num_clients=len(self.clients),
-            network=network,
-            device_flops=device_flops,
-            trace=trace,
-        )
-        self.network = self._kernel.network
-        self.device_flops = self._kernel.device_flops
-        self._rng = self._kernel.rng
-        self._trace = self._kernel.trace
-        self._reducer = self._trace.add_sink(MetricsReducer())
-        if transport is not None:
-            # Reconnect jitter draws from the kernel's named streams
-            # and drops surface on the engine's trace bus.
-            transport.bind_kernel(self._kernel, self._trace)
-        self._halted: list[int] = []
-        self._total_updates = 0
-        self.snapshot_path = snapshot_path
-        self.snapshot_every = snapshot_every if snapshot_every is not None else 1
-        self._on_snapshot = on_snapshot
-        self._last_snapshot_at = -1
-        # Reused MultiClientTrainer instances, keyed by cohort+config
-        # (see repro.fl.batched).  Session-local: deliberately excluded
-        # from snapshot_state, a resumed engine rebuilds on first use.
-        self._batched_cache: dict = {}
-        # The trainer cache holds references into client models; when
-        # the registry evicts a client those references go stale, so
-        # the eviction watcher drops the affected cohorts.  Watchers
-        # are transient — re-registered here on every (re)construction.
-        self.clients.on_evict(self._on_client_evicted)
 
-    def _on_client_evicted(self, cid: int) -> None:
-        if self._batched_cache:
-            dead = [k for k in self._batched_cache if cid in k[0]]
-            for k in dead:
-                del self._batched_cache[k]
+    def snapshot_extra(self) -> dict:
+        return {
+            "halted": list(self._halted),
+            "total_updates": self._total_updates,
+            "last_snapshot_at": self._last_snapshot_at,
+        }
 
-    @property
-    def sim_time_s(self) -> float:
-        """Simulated seconds elapsed (the kernel clock)."""
-        return self._kernel.now
+    def restore_extra(self, extra: dict) -> None:
+        self._halted = list(extra["halted"])
+        self._total_updates = int(extra["total_updates"])
+        self._last_snapshot_at = int(extra["last_snapshot_at"])
 
-    @property
-    def trace(self) -> EventTrace:
-        """The engine's telemetry bus (attach sinks before ``run``)."""
-        return self._trace
+    def _snapshot_written(self) -> None:
+        self._last_snapshot_at = self._total_updates
 
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
@@ -207,15 +151,7 @@ class AsyncEngine:
     def _run(self, resume: bool) -> RunResult:
         local_cfg = self.strategy.local_config(self.config.local)
         if not resume:
-            self.strategy.prepare(self.server, self.clients)
-            self._trace.emit(
-                RUN_START,
-                self._kernel.now,
-                mode="async",
-                method=self.strategy.name,
-                num_clients=len(self.clients),
-                model_bytes=self.strategy.encode_model(self.server).payload_nbytes,
-            )
+            self._start_run()
             # Boot the reactive loop: every client (or the capped
             # cohort at population scale) receives the initial model.
             for cid in self.clients.initial_ids(self.config.async_cohort):
@@ -289,55 +225,6 @@ class AsyncEngine:
         return self._reducer.result()
 
     # ------------------------------------------------------------------
-    # Snapshots
-    # ------------------------------------------------------------------
-    def _write_snapshot(self) -> None:
-        from repro.fl.snapshot import save_snapshot
-
-        save_snapshot(self, self.snapshot_path)
-        self._last_snapshot_at = self._total_updates
-        if self._on_snapshot is not None:
-            self._on_snapshot(self)
-
-    def snapshot_state(self) -> dict:
-        """Everything needed to rebuild this engine mid-run (pickle-safe)."""
-        from repro.fl.snapshot import kernel_state
-
-        return {
-            "mode": "async",
-            "server": self.server,
-            "clients": self.clients,
-            "strategy": self.strategy,
-            "config": self.config,
-            "faults": self.faults,
-            "chaos": self._chaos,
-            "churn": self._churn,
-            "network": self.network,
-            "device_flops": self.device_flops,
-            "validator": self._validator,
-            "kernel": kernel_state(self._kernel),
-            "trace_seq": self._trace._seq,
-            "reducer": self._reducer,
-            "extra": {
-                "halted": list(self._halted),
-                "total_updates": self._total_updates,
-                "last_snapshot_at": self._last_snapshot_at,
-            },
-        }
-
-    def restore_extra(self, extra: dict) -> None:
-        """Engine-specific state counterpart of ``snapshot_state``."""
-        self._halted = list(extra["halted"])
-        self._total_updates = int(extra["total_updates"])
-        self._last_snapshot_at = int(extra["last_snapshot_at"])
-
-    # ------------------------------------------------------------------
-    def _retry_rng(self, cid: int, policy: RetryPolicy):
-        """Jitter stream for retries; None keeps the schedule exact."""
-        if policy.jitter_frac <= 0.0:
-            return None
-        return self._kernel.stream("retry", cid)
-
     def _dispatch_model(self, cid: int, forced: bool = False, attempt: int = 1) -> None:
         """Send the current global model to a client."""
         now = self._kernel.now
@@ -351,18 +238,9 @@ class AsyncEngine:
                 resume, _MODEL_RETRY, {"cid": cid, "forced": forced, "attempt": attempt}
             )
             return
-        model_frame = self.strategy.encode_model(self.server)
-        nbytes = self.strategy.downlink_bytes(self.server)
+        nbytes, down_extra = self._model_downlink()
         payload = {"cid": cid, "forced": forced}
-        leg = self._kernel.downlink(
-            cid,
-            nbytes,
-            now,
-            extra={
-                "codec": "none",
-                "frame_len": len(model_frame) + (nbytes - model_frame.payload_nbytes),
-            },
-        )
+        leg = self._kernel.downlink(cid, nbytes, now, extra=down_extra)
         if not leg.delivered:
             # Lost broadcast: back off, then retry from scratch.  The
             # failed attempt was already charged by the kernel.
@@ -442,15 +320,7 @@ class AsyncEngine:
                 except PeerGone as exc:
                     # The owning worker process died: terminal for this
                     # client — no restart event will ever revive it.
-                    self._trace.emit(
-                        DROPPED,
-                        self._kernel.now,
-                        client.client_id,
-                        reason="crash",
-                        cause="transport",
-                        terminal=True,
-                        attempts=exc.attempts,
-                    )
+                    self._drop_transport_crash(self._kernel.now, client.client_id, exc)
                     continue
             self._finish_model_arrival(client, update)
         # The arrival burst is fully processed: trim materialised
@@ -540,34 +410,17 @@ class AsyncEngine:
                     {"cid": cid, "forced": False, "attempt": 1},
                 )
                 return
-        try:
-            packet = self.strategy.process_upload(client, update, now + compute_s)
-        except PeerGone as exc:
-            # The worker died between training and upload encoding
-            # (compression is a worker-side RPC for remote clients).
-            self._trace.emit(
-                DROPPED,
-                now + compute_s,
-                cid,
-                reason="crash",
-                cause="transport",
-                terminal=True,
-                attempts=exc.attempts,
-            )
+        trained = now + compute_s
+        encoded = self._encode_upload(client, update, trained, trained)
+        if encoded is None:
             return
-        if self._validator is not None:
-            self._validator.stamp(update)
+        packet, frame_bytes, up_extra = encoded
         delta = packet.delta
-        frame_bytes = packet.frame.to_bytes()
         nbytes = packet.nbytes
-        up_extra = {"codec": packet.frame_codec, "frame_len": packet.wire_nbytes}
-        if packet.subspace is not None:
-            # Record the covered coordinates for subspace-aware folds.
-            update.extras["subspace"] = packet.subspace
 
         # -- uplink (policy-driven retries; default is one attempt) --
         attempt = 1
-        up_start = now + compute_s
+        up_start = trained
         while True:
             leg = self._kernel.uplink(cid, nbytes, up_start, extra=up_extra)
             arrival = up_start + leg.duration_s
@@ -582,37 +435,21 @@ class AsyncEngine:
             attempt += 1
         delivered = leg.delivered
         if not delivered:
-            data = (
-                {"terminal": True, "attempts": attempt}
-                if self._ul_policy.max_attempts > 1
-                else {}
-            )
+            data = self._out_of_attempts(self._ul_policy, attempt)
             self._trace.emit(DROPPED, arrival, cid, reason="uplink_lost", **data)
         elif self.faults.upload_lost(cid, self._rng):
             # Data-loss fault: the update made it across the link but
             # is destroyed in transit.
             delivered = False
             self._trace.emit(DROPPED, arrival, cid, reason="fault")
-        try:
-            self.strategy.on_upload_result(client, delivered, now + compute_s)
-        except PeerGone:
-            # NACK restore against a dead worker: its residual state is
-            # gone with it; the death itself surfaces as drops through
-            # the down-worker gate, so don't double-count here.
-            pass
+        self._upload_result(client, delivered, trained)
         if delivered:
             stale = self._chaos.stale if self._chaos is not None else None
             duplicate = False
             if stale is not None:
                 extra_delay, duplicate = stale.upload_effects(cid)
                 arrival += extra_delay
-            corruption = (
-                self._chaos.corruption if self._chaos is not None else None
-            )
-            if corruption is not None:
-                delta, tampered = corruption.corrupt_upload(cid, delta, frame_bytes)
-                if tampered is not None:
-                    frame_bytes = tampered
+            delta, frame_bytes = self._corrupt_upload(cid, delta, frame_bytes)
             inflight = _InFlight(
                 update=update,
                 delta=delta,

@@ -10,8 +10,14 @@ The function returns ``None`` whenever the cohort cannot be fused
 (fewer than two clients, strategy kwargs beyond SCAFFOLD's
 ``server_control``, mixed scaffold/non-scaffold cohorts, or a model
 outside the kernel's layer support); the engines then fall back to the
-serial oracle path.  Unsupported cohorts are negatively cached so the
-construction cost is paid once, not per round.
+serial oracle path.
+
+The engines pass a ``cache`` dict that holds one slot: the trainer for
+the latest cohort.  A repeat cohort (FedBuff's fixed buffer, a full
+participation round) reuses it; any other cohort replaces it, so the
+cache never pins more than one cohort's parameter stacks.  A model the
+kernel rejects is remembered per architecture, so the construction
+cost of finding out is paid once, not per round.
 """
 
 from __future__ import annotations
@@ -24,10 +30,28 @@ from repro.fl.client import _TRAIN_FLOP_FACTOR, Client, ClientUpdate
 from repro.fl.config import LocalTrainingConfig
 from repro.nn.batched import MultiClientTrainer, UnsupportedModelError
 
-__all__ = ["train_clients_batched"]
+__all__ = ["train_clients_batched", "forget_client"]
 
-# Negative-cache sentinel: this cohort/model combination cannot batch.
-_UNSUPPORTED = object()
+# Cache key of the single trainer slot: ``(cohort key, trainer)``.
+_SLOT = "trainer"
+
+
+def _architecture(cohort: list[Client]) -> frozenset:
+    """The cohort's distinct layer-type sequences (negative-cache key)."""
+    return frozenset(tuple(map(type, c._model.layers)) for c in cohort)
+
+
+def _drop_slot(cache: dict) -> None:
+    slot = cache.pop(_SLOT, None)
+    if slot is not None:
+        slot[1].release()
+
+
+def forget_client(cache: dict, cid: int) -> None:
+    """Drop the cached trainer if it references client ``cid``."""
+    slot = cache.get(_SLOT)
+    if slot is not None and cid in slot[0][0]:
+        _drop_slot(cache)
 
 
 def train_clients_batched(
@@ -43,8 +67,8 @@ def train_clients_batched(
     ``kwargs_by_cid`` carries each client's ``client_train_kwargs`` from
     the strategy; only SCAFFOLD's ``server_control`` is batchable.  When
     a ``cache`` dict is supplied, the trainer (parameter stacks, scratch
-    buffers, conv workspaces) is reused across rounds for the same
-    cohort and config.
+    buffers, conv workspaces) is reused while the same cohort and
+    config come back.
     """
     if len(cohort) < 2:
         return None
@@ -60,10 +84,16 @@ def train_clients_batched(
         return None
 
     key = (tuple(c.client_id for c in cohort), config, use_scaffold)
-    trainer = cache.get(key) if cache is not None else None
-    if trainer is _UNSUPPORTED:
-        return None
-    if trainer is None:
+    slot = cache.get(_SLOT) if cache is not None else None
+    if slot is not None and slot[0] == key:
+        trainer = slot[1]
+    else:
+        arch = _architecture(cohort)
+        if cache is not None:
+            if arch in cache:
+                return None
+            # Free the previous cohort's trainer before building this one.
+            _drop_slot(cache)
         try:
             trainer = MultiClientTrainer(
                 [c._model for c in cohort],
@@ -81,10 +111,10 @@ def train_clients_batched(
             )
         except UnsupportedModelError:
             if cache is not None:
-                cache[key] = _UNSUPPORTED
+                cache[arch] = None
             return None
         if cache is not None:
-            cache[key] = trainer
+            cache[_SLOT] = (key, trainer)
 
     corrections = None
     if use_scaffold:

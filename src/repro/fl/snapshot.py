@@ -36,7 +36,13 @@ from pathlib import Path
 from repro.sim import EventTrace, SimKernel
 from repro.wire.frame import MAGIC, seal, unseal
 
-__all__ = ["SNAPSHOT_VERSION", "save_snapshot", "load_snapshot", "kernel_state"]
+__all__ = [
+    "SNAPSHOT_VERSION",
+    "save_snapshot",
+    "load_snapshot",
+    "kernel_state",
+    "restore_kernel",
+]
 
 SNAPSHOT_VERSION = 1
 
@@ -53,7 +59,8 @@ def kernel_state(kernel: SimKernel) -> dict:
     }
 
 
-def _restore_kernel(kernel: SimKernel, state: dict) -> None:
+def restore_kernel(kernel: SimKernel, state: dict) -> None:
+    """Put a freshly built kernel back into a ``kernel_state`` state."""
     kernel.queue.now = state["now"]
     kernel.queue._heap = list(state["heap"])
     kernel.queue._seq = state["queue_seq"]
@@ -91,17 +98,22 @@ def load_snapshot(path, trace: EventTrace | None = None, keep_snapshotting: bool
     ``keep_snapshotting`` the resumed run stays crash-safe, writing
     future snapshots back to the same file.
     """
+    from repro.fl.async_engine import AsyncEngine
+    from repro.fl.sync_engine import SyncEngine
+
     path = Path(path)
     raw = path.read_bytes()
-    if raw[: len(MAGIC)] == MAGIC:
-        state = pickle.loads(unseal(raw))
-    else:  # pre-envelope snapshot: a bare pickle stream
-        state = pickle.loads(raw)
+    if raw[: len(MAGIC)] != MAGIC:
+        raise ValueError(f"{path} is not a sealed snapshot (no {MAGIC!r} envelope)")
+    state = pickle.loads(unseal(raw))
     version = state.get("snapshot_version")
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version!r}")
+    engines = {cls.mode: cls for cls in (SyncEngine, AsyncEngine)}
+    if state["mode"] not in engines:  # pragma: no cover - defensive
+        raise ValueError(f"unknown engine mode {state['mode']!r}")
 
-    common = dict(
+    engine = engines[state["mode"]](
         server=state["server"],
         clients=state["clients"],
         strategy=state["strategy"],
@@ -115,23 +127,5 @@ def load_snapshot(path, trace: EventTrace | None = None, keep_snapshotting: bool
         snapshot_path=path if keep_snapshotting else None,
         snapshot_every=state["snapshot_every"],
     )
-    if state["mode"] == "sync":
-        from repro.fl.sync_engine import SyncEngine
-
-        engine = SyncEngine(**common)
-    elif state["mode"] == "async":
-        from repro.fl.async_engine import AsyncEngine
-
-        engine = AsyncEngine(**common)
-    else:  # pragma: no cover - defensive
-        raise ValueError(f"unknown engine mode {state['mode']!r}")
-
-    _restore_kernel(engine._kernel, state["kernel"])
-    engine._trace._seq = state["trace_seq"]
-    # The constructor attached a fresh reducer; swap the snapshotted
-    # one (which holds the already-closed records) back in.
-    engine._trace._sinks.remove(engine._reducer)
-    engine._reducer = engine._trace.add_sink(state["reducer"])
-    engine._validator = state["validator"]
-    engine.restore_extra(state["extra"])
+    engine.restore_state(state)
     return engine

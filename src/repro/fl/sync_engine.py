@@ -8,11 +8,9 @@ server waits for all transfers, so the round takes
 Network loss, injected faults, and availability churn turn uploads
 into *dropped* updates — the server aggregates whatever arrived.
 
-All clocking, RNG streams, and transfer/compute accounting live in the
-shared :class:`~repro.sim.SimKernel`; the engine emits the typed event
-stream (:mod:`repro.sim.trace`) and reads its round records back from
-the attached :class:`~repro.fl.metrics.MetricsReducer`, so metrics are
-a pure reduction over the trace.
+Construction, snapshots and the upload plumbing are shared with the
+asynchronous engine in :mod:`repro.fl.engine`; this module holds the
+barrier round.
 
 Resilience hooks (all off by default, preserving bit-identical
 trajectories):
@@ -39,132 +37,28 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.fl.batched import train_clients_batched
-from repro.fl.client import Client
-from repro.fl.config import FederationConfig
-from repro.fl.faults import FaultInjector
-from repro.fl.metrics import MetricsReducer, RunResult
-from repro.fl.population import ClientPopulation
-from repro.fl.server import Server
-from repro.fl.strategy import RoundContext, SyncStrategy
-from repro.fl.validation import UpdateValidator, trimmed_mean, verify_frame
-from repro.network.conditions import NetworkConditions
+from repro.fl.engine import Engine
+from repro.fl.metrics import RunResult
+from repro.fl.strategy import RoundContext
+from repro.fl.validation import trimmed_mean, verify_frame
 from repro.transport.base import PeerGone
-from repro.sim import (
-    AGGREGATED,
-    DROPPED,
-    EVALUATED,
-    EventTrace,
-    FaultPlan,
-    HALTED,
-    RetryPolicy,
-    RUN_END,
-    RUN_START,
-    SELECTED,
-    SimKernel,
-)
+from repro.sim import AGGREGATED, DROPPED, EVALUATED, HALTED, RUN_END, SELECTED
 
 __all__ = ["SyncEngine"]
 
 
-class SyncEngine:
+class SyncEngine(Engine):
     """Runs a synchronous federated training session."""
 
-    def __init__(
-        self,
-        server: Server,
-        clients: "list[Client] | ClientPopulation",
-        strategy: SyncStrategy,
-        config: FederationConfig,
-        network: NetworkConditions | None = None,
-        faults: FaultInjector | None = None,
-        device_flops: np.ndarray | None = None,
-        churn=None,
-        chaos: FaultPlan | None = None,
-        trace: EventTrace | None = None,
-        snapshot_path=None,
-        snapshot_every: int | None = None,
-        on_snapshot=None,
-        transport=None,
-    ):
-        # A remote transport owns the client processes; its population
-        # facade replaces any clients argument.  In-memory transports
-        # (None or InMemoryTransport) keep the historical path exactly.
-        self._transport = transport
-        self._remote = bool(transport is not None and getattr(transport, "remote", False))
-        if self._remote:
-            if snapshot_path is not None:
-                raise ValueError(
-                    "snapshots are not supported over a remote transport "
-                    "(worker-side client state is not reachable)"
-                )
-            self.clients = ClientPopulation.ensure(transport.population())
-        else:
-            if clients is None or not len(clients):
-                raise ValueError("need at least one client")
-            # The engine resolves every client through the population
-            # registry; a plain list becomes the always-live compat wrapper.
-            self.clients = ClientPopulation.ensure(clients)
-        self.server = server
-        self.strategy = strategy
-        self.config = config
-        self.faults = faults if faults is not None else FaultInjector()
-        self._churn = churn
-        self._chaos = chaos
-        if chaos is not None:
-            chaos.bind(config.seed, len(self.clients))
-        self._validator = (
-            UpdateValidator(config.validation) if config.validation is not None else None
-        )
-        self._dl_policy = config.downlink_retry or RetryPolicy.single()
-        self._ul_policy = config.uplink_retry or RetryPolicy.single()
-        self._kernel = SimKernel(
-            seed=config.seed,
-            num_clients=len(self.clients),
-            network=network,
-            device_flops=device_flops,
-            trace=trace,
-        )
-        self.network = self._kernel.network
-        self.device_flops = self._kernel.device_flops
-        self._rng = self._kernel.rng
-        self._trace = self._kernel.trace
-        self._reducer = self._trace.add_sink(MetricsReducer())
-        if transport is not None:
-            # Reconnect jitter draws from the kernel's named streams
-            # and drops surface on the engine's trace bus.
-            transport.bind_kernel(self._kernel, self._trace)
-        self.snapshot_path = snapshot_path
-        self.snapshot_every = snapshot_every if snapshot_every is not None else 1
-        self._on_snapshot = on_snapshot
-        self._next_round = 0  # first round iter_rounds() will execute
-        # Reused MultiClientTrainer instances, keyed by cohort+config
-        # (see repro.fl.batched).  Session-local: deliberately excluded
-        # from snapshot_state, a resumed engine rebuilds on first use.
-        self._batched_cache: dict = {}
-        # The trainer cache holds references into client models; when
-        # the registry evicts a client those references go stale, so
-        # the eviction watcher drops the affected cohorts.  Watchers
-        # are transient — re-registered here on every (re)construction.
-        self.clients.on_evict(self._on_client_evicted)
+    mode = "sync"
+    initial_extra = {"next_round": 0}  # first round iter_rounds() will execute
 
-    def _on_client_evicted(self, cid: int) -> None:
-        if self._batched_cache:
-            dead = [k for k in self._batched_cache if cid in k[0]]
-            for k in dead:
-                del self._batched_cache[k]
+    def snapshot_extra(self) -> dict:
+        return {"next_round": self._next_round}
 
-    @property
-    def sim_time_s(self) -> float:
-        """Simulated seconds elapsed (the kernel clock)."""
-        return self._kernel.now
-
-    @property
-    def trace(self) -> EventTrace:
-        """The engine's telemetry bus (attach sinks before ``run``)."""
-        return self._trace
+    def restore_extra(self, extra: dict) -> None:
+        self._next_round = int(extra["next_round"])
 
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
@@ -198,15 +92,7 @@ class SyncEngine:
         """
         local_cfg = self.strategy.local_config(self.config.local)
         if self._next_round == 0:
-            self.strategy.prepare(self.server, self.clients)
-            self._trace.emit(
-                RUN_START,
-                self.sim_time_s,
-                mode="sync",
-                method=self.strategy.name,
-                num_clients=len(self.clients),
-                model_bytes=self.strategy.encode_model(self.server).payload_nbytes,
-            )
+            self._start_run()
         for round_index in range(self._next_round, self.config.num_rounds):
             record = self._run_round(round_index, local_cfg)
             if (round_index + 1) % self.config.eval_every == 0:
@@ -224,74 +110,6 @@ class SyncEngine:
         self._trace.emit(RUN_END, self.sim_time_s, rounds=self.config.num_rounds)
 
     # ------------------------------------------------------------------
-    # Snapshots
-    # ------------------------------------------------------------------
-    def _write_snapshot(self) -> None:
-        from repro.fl.snapshot import save_snapshot
-
-        save_snapshot(self, self.snapshot_path)
-        if self._on_snapshot is not None:
-            self._on_snapshot(self)
-
-    def snapshot_state(self) -> dict:
-        """Everything needed to rebuild this engine mid-run (pickle-safe)."""
-        from repro.fl.snapshot import kernel_state
-
-        return {
-            "mode": "sync",
-            "server": self.server,
-            "clients": self.clients,
-            "strategy": self.strategy,
-            "config": self.config,
-            "faults": self.faults,
-            "chaos": self._chaos,
-            "churn": self._churn,
-            "network": self.network,
-            "device_flops": self.device_flops,
-            "validator": self._validator,
-            "kernel": kernel_state(self._kernel),
-            "trace_seq": self._trace._seq,
-            "reducer": self._reducer,
-            "extra": {"next_round": self._next_round},
-        }
-
-    def restore_extra(self, extra: dict) -> None:
-        """Engine-specific state counterpart of ``snapshot_state``."""
-        self._next_round = int(extra["next_round"])
-
-    # ------------------------------------------------------------------
-    def _retry_rng(self, cid: int, policy: RetryPolicy):
-        """Jitter stream for retries; None keeps the schedule exact."""
-        if policy.jitter_frac <= 0.0:
-            return None
-        return self._kernel.stream("retry", cid)
-
-    def _drop_transport_crash(self, t: float, cid: int, exc: PeerGone) -> None:
-        """Terminal drop: the owning worker process is unreachable."""
-        self._trace.emit(
-            DROPPED,
-            t,
-            cid,
-            reason="crash",
-            cause="transport",
-            terminal=True,
-            attempts=exc.attempts,
-        )
-
-    def _upload_result(self, client, delivered: bool, context) -> None:
-        """ACK/NACK the strategy, tolerating a dead remote peer.
-
-        A NACK triggers AdaFL's residual restore — a worker RPC for
-        remote clients.  If the worker died in the meantime the
-        restore is moot (its residual state is gone with it); the
-        death itself surfaces as drops through the liveness sweep, so
-        double-counting here would skew the taxonomy.
-        """
-        try:
-            self.strategy.on_upload_result(client, delivered, context)
-        except PeerGone:
-            pass
-
     def _available_ids(self, round_index: int, t0: float, crash) -> list[int]:
         """Ids that can open this round (availability gates only).
 
@@ -323,7 +141,6 @@ class SyncEngine:
         chaos = self._chaos
         crash = chaos.crash if chaos is not None else None
         stale = chaos.stale if chaos is not None else None
-        corruption = chaos.corruption if chaos is not None else None
         outage = chaos.outage if chaos is not None else None
 
         if outage is not None and outage.is_down(self.sim_time_s):
@@ -373,15 +190,7 @@ class SyncEngine:
                 # Terminal for the client, then re-select among
                 # survivors — fault-path only, never under chaos=None.
                 if exc.cid is not None:
-                    self._trace.emit(
-                        DROPPED,
-                        t0,
-                        exc.cid,
-                        reason="crash",
-                        cause="transport",
-                        terminal=True,
-                        attempts=exc.attempts,
-                    )
+                    self._drop_transport_crash(t0, exc.cid, exc)
                 down = self._transport.down_cids()
                 available = [cid for cid in available if cid not in down]
         self.clients.note_seen(selected, round_index)
@@ -436,16 +245,8 @@ class SyncEngine:
                 selected, self.server.params, round_index, kwargs_by
             )
 
-        # One model-frame encode serves every participant this round;
-        # the charged bytes stay the strategy's downlink size (frame
-        # payload plus any side channel), the full framed length rides
-        # in the event data.
-        model_frame = self.strategy.encode_model(self.server)
-        model_bytes = self.strategy.downlink_bytes(self.server)
-        down_extra = {
-            "codec": "none",
-            "frame_len": len(model_frame) + (model_bytes - model_frame.payload_nbytes),
-        }
+        # One model-frame encode serves every participant this round.
+        model_bytes, down_extra = self._model_downlink()
         for cid in selected:
             client = self.clients[cid]
 
@@ -463,11 +264,7 @@ class SyncEngine:
                 if self._dl_policy.exhausted(attempt):
                     # Client never received the round's model: it sits
                     # the round out (terminal drop).
-                    data = (
-                        {"terminal": True, "attempts": attempt}
-                        if self._dl_policy.max_attempts > 1
-                        else {}
-                    )
+                    data = self._out_of_attempts(self._dl_policy, attempt)
                     self._trace.emit(
                         DROPPED, t0 + down_s, cid, reason="downlink_lost", **data
                     )
@@ -510,20 +307,15 @@ class SyncEngine:
                     durations.append(crash_t - t0)
                     continue
 
-            try:
-                packet = self.strategy.process_upload(client, update, context)
-            except PeerGone as exc:
-                # The worker died between training and upload encoding
-                # (compression is a worker-side RPC for remote clients).
-                self._drop_transport_crash(t0 + down_s + compute_s, cid, exc)
+            encoded = self._encode_upload(
+                client, update, context, t0 + down_s + compute_s
+            )
+            if encoded is None:
                 durations.append(down_s + compute_s)
                 continue
-            if self._validator is not None:
-                self._validator.stamp(update)
+            packet, frame_bytes, up_extra = encoded
             delta = packet.delta
-            frame_bytes = packet.frame.to_bytes()
             up_bytes = packet.nbytes
-            up_extra = {"codec": packet.frame_codec, "frame_len": packet.wire_nbytes}
 
             # -- uplink (policy-driven retries) --
             attempt = 1
@@ -564,11 +356,7 @@ class SyncEngine:
             durations.append(total_s)
 
             if lost:
-                data = (
-                    {"terminal": True, "attempts": attempt}
-                    if self._ul_policy.max_attempts > 1
-                    else {}
-                )
+                data = self._out_of_attempts(self._ul_policy, attempt)
                 self._trace.emit(
                     DROPPED, t0 + total_s, cid, reason="uplink_lost", **data
                 )
@@ -591,10 +379,7 @@ class SyncEngine:
                 continue
             self._upload_result(client, True, context)
 
-            if corruption is not None:
-                delta, tampered = corruption.corrupt_upload(cid, delta, frame_bytes)
-                if tampered is not None:
-                    frame_bytes = tampered
+            delta, frame_bytes = self._corrupt_upload(cid, delta, frame_bytes)
             # Server receipt: the frame's CRC-32 is checked before the
             # payload is trusted — a bit flipped in flight surfaces here
             # as a ``corrupt_frame`` rejection, never as silent noise.
@@ -603,10 +388,6 @@ class SyncEngine:
                 self._trace.emit(DROPPED, t0 + total_s, cid, reason=frame_reason)
                 continue
             update.delta = delta  # server sees the decompressed delta
-            if packet.subspace is not None:
-                # Masked aggregation needs to know which coordinates the
-                # delta actually covers (sub-model uploads).
-                update.extras["subspace"] = packet.subspace
             delivered.append(update)
             if stale_dup:
                 # The transport delivered the same upload twice; the

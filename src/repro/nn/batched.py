@@ -876,6 +876,16 @@ class MultiClientTrainer:
         if offset != self.d:
             raise UnsupportedModelError("parameter layout mismatch")
 
+    def release(self) -> None:
+        """Drop the layer handlers; the trainer is unusable afterwards.
+
+        Each handler points back at its trainer, so a discarded trainer
+        is cyclic garbage that keeps its parameter stacks and scratch
+        buffers until the next full collection.  Releasing breaks the
+        cycle and frees them with the last outside reference.
+        """
+        self.handlers = []
+
     # ------------------------------------------------------------------
     def _buf(self, li: int, tag: str, shape: tuple[int, ...],
              dtype=np.float64) -> np.ndarray:

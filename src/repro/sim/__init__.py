@@ -2,8 +2,7 @@
 
 ``repro.sim`` is the substrate both FL engines run on:
 
-* :mod:`repro.sim.events` — the deterministic event queue (moved here
-  from ``repro.network.events``, which remains as a re-export);
+* :mod:`repro.sim.events` — the deterministic event queue;
 * :mod:`repro.sim.kernel` — :class:`SimKernel`: clock, event queue,
   root + per-client RNG streams, and the transfer/compute accounting
   both engines share;

@@ -56,13 +56,6 @@ class TestR2Layering:
         assert "repro.sim.fixture_cycle_a" in message
         assert "repro.sim.fixture_cycle_b" in message
 
-    def test_deprecated_shim_import_offends(self):
-        result = lint_fixture(
-            [("r2_shim_offending.py", "repro.fl.fixture_shim")], select=["R203"]
-        )
-        assert rule_ids(result) == ["R203"]
-        assert "repro.sim.events" in result.violations[0].message
-
 
 class TestR3Taxonomy:
     def test_broken_partition(self):
@@ -234,10 +227,10 @@ class TestR6WireBytes:
 
 class TestR7Population:
     def test_offending(self):
-        result = lint_fixture(
-            [("r7_offending.py", "repro.fl.sync_engine")], select=["R7"]
-        )
-        assert rule_ids(result) == ["R701", "R702", "R702"]
+        # The shared engine core is restricted like the protocol modules.
+        for module in ("repro.fl.sync_engine", "repro.fl.engine"):
+            result = lint_fixture([("r7_offending.py", module)], select=["R7"])
+            assert rule_ids(result) == ["R701", "R702", "R702"], module
 
     def test_clean(self):
         result = lint_fixture(

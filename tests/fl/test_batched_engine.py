@@ -15,12 +15,17 @@ Three layers of guarantees:
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 import repro.fl.async_engine as async_mod
+import repro.fl.batched as batched_mod
 import repro.fl.sync_engine as sync_mod
+from repro.core.adafl import AdaFLConfig, AdaFLSync
+from repro.core.compression_policy import AdaptiveCompressionPolicy
 from repro.fl.async_engine import AsyncEngine
 from repro.fl.baselines import FedAsync, FedAvg, Scaffold
 from repro.fl.batched import train_clients_batched
@@ -159,6 +164,38 @@ class TestEngineEquivalence:
         off, _ = run(False)
         assert on == off
         assert engine_on._batched_cache
+
+    def test_changing_cohorts_hold_one_trainer(self, monkeypatch):
+        # AdaFL picks a different cohort most rounds; the engine must
+        # keep only the latest cohort's trainer, not one per cohort.
+        built = []
+
+        class Recorded(batched_mod.MultiClientTrainer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(batched_mod, "MultiClientTrainer", Recorded)
+
+        def run(batched: bool):
+            server, clients = _federation(30)
+            strategy = AdaFLSync(AdaFLConfig(
+                k_max=3, tau=0.5, tau_mode="relative", rotation_bonus=0.5,
+                rotation_horizon=2,
+                policy=AdaptiveCompressionPolicy(warmup_rounds=1),
+            ))
+            cfg = dataclasses.replace(_sync_config(6), batched_compute=batched)
+            engine = SyncEngine(server, clients, strategy, cfg)
+            return trajectory(engine.run()), engine
+
+        on, engine = run(True)
+        cohorts = {tuple(r["participants"]) for r in on}
+        assert len(cohorts) > 2  # the cohorts really changed
+        gc.collect()
+        assert len(built) >= len(cohorts)
+        assert sum(ref() is not None for ref in built) <= 1
+        assert engine._batched_cache  # still alive, holding its one trainer
+        assert on == run(False)[0]  # rebuilt trainers leave the run unchanged
 
     def test_sync_with_network_stays_serial(self):
         # Networked transfers draw from the shared simulation RNG in

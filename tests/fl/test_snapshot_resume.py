@@ -174,7 +174,8 @@ class TestSnapshotFile:
         assert state["snapshot_version"] == 1
         assert state["mode"] == "sync"
 
-    def test_unknown_version_rejected(self, tmp_path):
+    @staticmethod
+    def _snapshot_state(tmp_path):
         import pickle
 
         from repro.wire import unseal
@@ -185,12 +186,32 @@ class TestSnapshotFile:
             server, clients, FedAvg(participation_rate=1.0), _sync_config(2),
             snapshot_path=snap, snapshot_every=1,
         ).run()
-        state = pickle.loads(unseal(snap.read_bytes()))
+        return snap, pickle.loads(unseal(snap.read_bytes()))
+
+    def test_unknown_version_rejected(self, tmp_path):
+        import pickle
+
+        from repro.wire import seal
+
+        snap, state = self._snapshot_state(tmp_path)
         state["snapshot_version"] = 99
-        # A bare pickle stream is the pre-envelope format; it must
-        # still load (after the version gate rejects it).
+        snap.write_bytes(seal(pickle.dumps(state)))
+        with pytest.raises(ValueError, match="unsupported snapshot version 99"):
+            load_snapshot(snap)
+
+    def test_bare_pickle_rejected_before_unpickling(self, tmp_path, monkeypatch):
+        import pickle
+
+        import repro.fl.snapshot as snapshot_mod
+
+        snap, state = self._snapshot_state(tmp_path)
         snap.write_bytes(pickle.dumps(state))
-        with pytest.raises(ValueError, match="snapshot"):
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an unsealed stream was unpickled")
+
+        monkeypatch.setattr(snapshot_mod.pickle, "loads", refuse)
+        with pytest.raises(ValueError, match="not a sealed snapshot"):
             load_snapshot(snap)
 
     def test_resumed_engine_can_keep_snapshotting(self, tmp_path):
