@@ -97,8 +97,10 @@ ALLOWED_DEPS: Mapping[str, frozenset[str]] = {
 # ----------------------------------------------------------------------
 # R4: modules on the flat-parameter / DGC / conv hot paths pinned by
 # BENCH_hotpath.json (sections flat_roundtrip, local_train,
-# dgc_roundtrip, conv_fwd_bwd).  Allocation and copy discipline is
-# enforced only here — elsewhere clarity wins.
+# dgc_roundtrip, conv_fwd_bwd, batched_train).  Every layer's one
+# forward/backward lives in repro.nn.layers or repro.nn.normalization
+# and runs on both the serial and the fused path.  Allocation and copy
+# discipline is enforced only here — elsewhere clarity wins.
 # ----------------------------------------------------------------------
 HOTPATH_MODULES: frozenset[str] = frozenset(
     {
@@ -107,6 +109,7 @@ HOTPATH_MODULES: frozenset[str] = frozenset(
         "repro.nn.optim",
         "repro.nn.conv_utils",
         "repro.nn.layers",
+        "repro.nn.normalization",
         "repro.nn.batched",
         "repro.compression.dgc",
         "repro.compression.topk",

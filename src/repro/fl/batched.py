@@ -41,17 +41,11 @@ def _architecture(cohort: list[Client]) -> frozenset:
     return frozenset(tuple(map(type, c._model.layers)) for c in cohort)
 
 
-def _drop_slot(cache: dict) -> None:
-    slot = cache.pop(_SLOT, None)
-    if slot is not None:
-        slot[1].release()
-
-
 def forget_client(cache: dict, cid: int) -> None:
     """Drop the cached trainer if it references client ``cid``."""
     slot = cache.get(_SLOT)
     if slot is not None and cid in slot[0][0]:
-        _drop_slot(cache)
+        cache.pop(_SLOT, None)
 
 
 def train_clients_batched(
@@ -93,7 +87,7 @@ def train_clients_batched(
             if arch in cache:
                 return None
             # Free the previous cohort's trainer before building this one.
-            _drop_slot(cache)
+            cache.pop(_SLOT, None)
         try:
             trainer = MultiClientTrainer(
                 [c._model for c in cohort],

@@ -2,32 +2,35 @@
 
 Fuses K clients' local-SGD steps into single numpy calls: each step
 stacks the K per-client minibatches into one ``(K*batch, ...)`` tensor
-and runs ONE fused forward/backward through a shared set of scratch
-buffers, instead of K independent ``Sequential`` passes.  Per-client
-parameters live in a ``(K, d)`` stacked flat buffer; weights enter the
-fused GEMMs as per-row views carved out of that buffer, and the
-optimizer (SGD/momentum/weight-decay/FedProx/SCAFFOLD corrections)
-runs as row-wise in-place ops on the stack.
+and runs ONE forward/backward through the model's layers, instead of K
+independent ``Sequential`` passes.  Per-client parameters live in a
+``(K, d)`` stacked flat buffer; each layer position runs over a
+:class:`~repro.nn.layers.LayerStack` whose parameter stacks are views
+carved out of that buffer, and the optimizer (SGD/momentum/weight-
+decay/FedProx/SCAFFOLD corrections) runs as row-wise in-place ops on
+the stack.
 
-The kernel is **bit-identical** to the serial ``Client.local_train``
-path.  The determinism argument (see docs/architecture.md, "Batched
-multi-client kernel"):
+The per-layer forward/backward code is the same code a lone
+``Sequential`` runs — there as the one-row stack — so the kernel is
+**bit-identical** to the serial ``Client.local_train`` path as long as
+rows stay independent (see docs/architecture.md, "Batched multi-client
+kernel"):
 
-* Per-client GEMMs run as 3-D stacked ``np.matmul`` calls whose slices
-  are byte-for-byte the serial 2-D GEMM operands, and BLAS computes
-  each slice of a stacked matmul with the same kernel as the 2-D call.
+* Per-row GEMMs run as 3-D stacked ``np.matmul`` calls whose slices
+  are byte-for-byte the one-row operands, and BLAS computes each slice
+  of a stacked matmul with the same kernel.
 * Every cross-sample *reduction* (bias gradients, batch-norm
-  statistics, loss means) runs per client on a slice whose shape and
-  strides equal the serial operand's, so pairwise summation order is
+  statistics, loss means) runs per row on a slice whose shape and
+  strides equal the one-row operand's, so summation order is
   unchanged.  Only elementwise ops and data movement are fused across
-  clients.
+  rows.
 * RNG draws stay on the per-client generators (shuffles on the
   client's rng, dropout masks on each layer's own rng) in the serial
   (epoch, step, layer) order, so every stream advances identically.
 
 Models whose layers fall outside the supported set (or that a caller
 hands inconsistent shards) raise :class:`UnsupportedModelError`; the
-engines catch it and fall back to the serial oracle.
+engines catch it and fall back to the serial path.
 """
 
 from __future__ import annotations
@@ -36,13 +39,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nn.conv_utils import conv_output_size
 from repro.nn.layers import (
     AvgPool2d,
     Conv2d,
     Dropout,
     Flatten,
     GlobalAvgPool2d,
+    LayerStack,
     Linear,
     MaxPool2d,
     ReLU,
@@ -122,636 +125,6 @@ def _carve(buf: np.ndarray, offset: int, shape: tuple[int, ...]) -> np.ndarray:
     if not np.shares_memory(view, buf):  # pragma: no cover - defensive
         raise UnsupportedModelError("stacked parameter carve copied")
     return view
-
-
-# ----------------------------------------------------------------------
-# Fused im2col / col2im
-# ----------------------------------------------------------------------
-class _ColWorkspace:
-    """Column/scatter scratch for the fused conv and pooling handlers.
-
-    Like :class:`repro.nn.conv_utils.ConvWorkspace` but without the
-    intermediate 6-D window buffer: the fused gather writes receptive
-    fields straight into the column matrix, so the only large buffers
-    are the columns themselves and the padded images.  At ``K*batch``
-    rows the shared helper's two-pass gather-then-repack no longer fits
-    in cache; halving the passes is what keeps the fused kernel ahead
-    of the serial loop on convolutional models.
-    """
-
-    __slots__ = ("_key", "_cols", "_pad_in", "_pad_out")
-
-    def __init__(self) -> None:
-        self._key: tuple | None = None
-        self._cols: np.ndarray | None = None
-        self._pad_in: np.ndarray | None = None
-        self._pad_out: np.ndarray | None = None
-
-    def prepare(self, x_shape, k: int, stride: int, padding: int,
-                dtype) -> tuple[int, int]:
-        n, c, h, w = x_shape
-        out_h = conv_output_size(h, k, stride, padding)
-        out_w = conv_output_size(w, k, stride, padding)
-        key = (x_shape, k, stride, padding, np.dtype(dtype))
-        if key != self._key:
-            self._key = key
-            self._cols = np.empty((n * out_h * out_w, c * k * k), dtype=dtype)
-            padded = (n, c, h + 2 * padding, w + 2 * padding)
-            self._pad_in = np.zeros(padded, dtype=dtype) if padding > 0 else None
-            self._pad_out = np.empty(padded, dtype=dtype)
-        return out_h, out_w
-
-
-def _im2col_packed(x: np.ndarray, k: int, stride: int, padding: int,
-                   ws: _ColWorkspace) -> np.ndarray:
-    """Single-pass im2col, bit-identical to ``conv_utils.im2col``.
-
-    A gather moves the same values whatever the staging, so skipping
-    the shared helper's ``(N, C, kh, kw, oh, ow)`` window buffer
-    changes nothing downstream: a zero-cost strided *view* of every
-    receptive field feeds ONE ``np.copyto`` into the column matrix —
-    a single pass with a single numpy dispatch, where the shared
-    helper pays ``kh * kw`` slice copies plus a repack.
-    """
-    n, c, h, w = x.shape
-    out_h, out_w = ws.prepare(x.shape, k, stride, padding, x.dtype)
-    if padding > 0:
-        ws._pad_in[:, :, padding:-padding, padding:-padding] = x
-        x = ws._pad_in
-    sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x, shape=(n, out_h, out_w, c, k, k),
-        strides=(sn, stride * sh, stride * sw, sc, sh, sw),
-    )
-    np.copyto(ws._cols.reshape(n, out_h, out_w, c, k, k), windows)
-    return ws._cols
-
-
-def _col2im_packed(cols: np.ndarray, x_shape: tuple[int, int, int, int],
-                   k: int, stride: int, padding: int,
-                   ws: _ColWorkspace) -> np.ndarray:
-    """Scatter-add columns back to images, bit-identical to
-    ``conv_utils.col2im``: the same zero-initialised target and the
-    same ``(i, j)`` accumulation order (so overlapping receptive
-    fields sum in the serial order, and ``+0`` absorbs signed zeros),
-    reading window slices straight from the column matrix.
-    """
-    n, c, h, w = x_shape
-    out_h, out_w = ws.prepare(x_shape, k, stride, padding, cols.dtype)
-    padded = ws._pad_out
-    padded.fill(0.0)
-    c6 = cols.reshape(n, out_h, out_w, c, k, k)
-    if stride >= k:
-        # Non-overlapping windows (pooling): every target element is
-        # hit at most once, so the whole scatter-add is one strided
-        # ``+=`` into a window view — no aliasing, and adding into the
-        # zero fill keeps the serial path's signed-zero absorption.
-        sn, sc, sh, sw = padded.strides
-        windows = np.lib.stride_tricks.as_strided(
-            padded, shape=(n, out_h, out_w, c, k, k),
-            strides=(sn, stride * sh, stride * sw, sc, sh, sw),
-        )
-        windows += c6
-        if padding > 0:
-            return padded[:, :, padding:-padding, padding:-padding]
-        return padded
-    for i in range(k):
-        i_max = i + stride * out_h
-        for j in range(k):
-            j_max = j + stride * out_w
-            padded[:, :, i:i_max:stride, j:j_max:stride] += (
-                c6[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            )
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
-
-
-def _workspace(cache: dict, key: tuple) -> _ColWorkspace:
-    """Memoised per-geometry column workspace for a handler."""
-    ws = cache.get(key)
-    if ws is None:
-        ws = _ColWorkspace()
-        # reprolint: allow[R403] dict memo insert, not an ndarray scatter
-        cache[key] = ws
-    return ws
-
-
-# ----------------------------------------------------------------------
-# Per-layer batched handlers
-# ----------------------------------------------------------------------
-class _Handler:
-    """Batched forward/backward for one layer position.
-
-    ``rows`` holds the K clients' live layer instances (sorted order)
-    so stateful layers (dropout RNGs, batch-norm running stats) mutate
-    the real per-client objects exactly as the serial path would.
-    """
-
-    param_size = 0
-
-    def __init__(self, tr: "MultiClientTrainer", li: int, rows: list):
-        self.tr = tr
-        self.li = li
-        self.rows = rows
-
-    def forward(self, x, a, b, bsz):
-        raise NotImplementedError
-
-    def backward(self, g, a, b, bsz, need_input):
-        raise NotImplementedError
-
-
-class _LinearH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
-        lay = rows[0]
-        self.in_f = lay.in_features
-        self.out_f = lay.out_features
-        self.has_bias = lay.bias is not None
-        self.W = _carve(tr._P, offset, (self.out_f, self.in_f))
-        self.Gw = _carve(tr._G, offset, (self.out_f, self.in_f))
-        self.param_size = self.out_f * self.in_f
-        if self.has_bias:
-            self.B = _carve(tr._P, offset + self.param_size, (self.out_f,))
-            self.Gb = _carve(tr._G, offset + self.param_size, (self.out_f,))
-            self.param_size += self.out_f
-        self._x3 = None
-
-    def forward(self, x, a, b, bsz):
-        m = b - a
-        x3 = x.reshape(m, bsz, self.in_f)
-        o3 = self.tr._buf(self.li, "o3", (m, bsz, self.out_f))
-        np.matmul(x3, self.W[a:b].transpose(0, 2, 1), out=o3)
-        if self.has_bias:
-            o3 += self.B[a:b][:, None, :]
-        self._x3 = x3
-        return o3.reshape(m * bsz, self.out_f)
-
-    def backward(self, g, a, b, bsz, need_input):
-        m = b - a
-        g3 = g.reshape(m, bsz, self.out_f)
-        wg = self.tr._buf(self.li, "wg", (m, self.out_f, self.in_f))
-        np.matmul(g3.transpose(0, 2, 1), self._x3, out=wg)
-        self.Gw[a:b] += wg
-        if self.has_bias:
-            bg = self.tr._buf(self.li, "bg", (m, self.out_f))
-            # One stacked reduce: per output element it sums the same
-            # ``bsz`` addends in the same order as the per-client
-            # ``np.sum(g3[i], axis=0)``, so results are bit-identical.
-            np.add.reduce(g3, axis=1, out=bg)
-            self.Gb[a:b] += bg
-        self._x3 = None
-        if not need_input:
-            return None
-        gi = self.tr._buf(self.li, "gi", (m, bsz, self.in_f))
-        np.matmul(g3, self.W[a:b], out=gi)
-        return gi.reshape(m * bsz, self.in_f)
-
-
-class _Conv2dH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
-        lay = rows[0]
-        self.in_c = lay.in_channels
-        self.out_c = lay.out_channels
-        self.k = lay.kernel_size
-        self.s = lay.stride
-        self.p = lay.padding
-        self.has_bias = lay.bias is not None
-        ckk = self.in_c * self.k * self.k
-        self.ckk = ckk
-        self.W = _carve(tr._P, offset, (self.out_c, ckk))
-        self.Gw = _carve(tr._G, offset, (self.out_c, ckk))
-        self.param_size = self.out_c * ckk
-        if self.has_bias:
-            self.B = _carve(tr._P, offset + self.param_size, (self.out_c,))
-            self.Gb = _carve(tr._G, offset + self.param_size, (self.out_c,))
-            self.param_size += self.out_c
-        self._ws: dict[tuple, _ColWorkspace] = {}
-        self._cols3 = None
-        self._x_shape = None
-        self._geom = None
-
-    def forward(self, x, a, b, bsz):
-        m = b - a
-        n, _, h, w = x.shape
-        oh = conv_output_size(h, self.k, self.s, self.p)
-        ow = conv_output_size(w, self.k, self.s, self.p)
-        cols = _im2col_packed(x, self.k, self.s, self.p,
-                              _workspace(self._ws, x.shape))
-        cols3 = cols.reshape(m, bsz * oh * ow, self.ckk)
-        o3 = self.tr._buf(self.li, "o3", (m, bsz * oh * ow, self.out_c))
-        np.matmul(cols3, self.W[a:b].transpose(0, 2, 1), out=o3)
-        if self.has_bias:
-            o3 += self.B[a:b][:, None, :]
-        self._cols3 = cols3
-        self._x_shape = x.shape
-        self._geom = (oh, ow)
-        return o3.reshape(n, oh, ow, self.out_c).transpose(0, 3, 1, 2)
-
-    def backward(self, g, a, b, bsz, need_input):
-        m = b - a
-        oh, ow = self._geom
-        gm = g.transpose(0, 2, 3, 1).reshape(-1, self.out_c)
-        gm3 = gm.reshape(m, bsz * oh * ow, self.out_c)
-        wg = self.tr._buf(self.li, "wg", (m, self.out_c, self.ckk))
-        np.matmul(gm3.transpose(0, 2, 1), self._cols3, out=wg)
-        self.Gw[a:b] += wg
-        if self.has_bias:
-            bg = self.tr._buf(self.li, "bg", (m, self.out_c))
-            # Stacked reduce, same per-element addend order as the
-            # serial per-client sums (see _LinearH.backward).
-            np.add.reduce(gm3, axis=1, out=bg)
-            self.Gb[a:b] += bg
-        grad_in = None
-        if need_input:
-            gc = self.tr._buf(self.li, "gc", (m, bsz * oh * ow, self.ckk))
-            np.matmul(gm3, self.W[a:b], out=gc)
-            grad_in = _col2im_packed(
-                gc.reshape(m * bsz * oh * ow, self.ckk), self._x_shape,
-                self.k, self.s, self.p, _workspace(self._ws, self._x_shape),
-            )
-        self._cols3 = None
-        self._x_shape = None
-        return grad_in
-
-
-class _MaxPoolH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
-        self.k = rows[0].kernel_size
-        self.s = rows[0].stride
-        self._ws: dict[tuple, _ColWorkspace] = {}
-        self._first = None
-        self._x_shape = None
-        self._geom = None
-
-    def forward(self, x, a, b, bsz):
-        n, c, h, w = x.shape
-        oh = conv_output_size(h, self.k, self.s, 0)
-        ow = conv_output_size(w, self.k, self.s, 0)
-        reshaped = x.reshape(n * c, 1, h, w)
-        cols = _im2col_packed(reshaped, self.k, self.s, 0,
-                              _workspace(self._ws, (n * c, 1, h, w)))
-        rows_n = cols.shape[0]
-        ob = self.tr._buf(self.li, "ob", (rows_n,))
-        np.max(cols, axis=1, out=ob)
-        first = self.tr._buf(self.li, "first", (rows_n,), dtype=np.intp)
-        np.argmax(cols, axis=1, out=first)
-        self._first = first
-        self._x_shape = (n, c, h, w)
-        self._geom = (oh, ow, cols.shape[1])
-        return ob.reshape(n, c, oh, ow)
-
-    def backward(self, g, a, b, bsz, need_input):
-        if not need_input:
-            self._first = None
-            return None
-        n, c, h, w = self._x_shape
-        oh, ow, window = self._geom
-        rows_n = self._first.shape[0]
-        gcols = self.tr._buf(self.li, "gcols", (rows_n, window))
-        gcols.fill(0.0)
-        ar = self.tr._arange(rows_n)
-        # Differs from the serial ``mask * grad`` only in the sign of
-        # zeros, which the +0-initialised col2im scatter absorbs.
-        # reprolint: allow[R403] first-max scatter: one write per pooling window
-        gcols[ar, self._first] = g.reshape(-1)
-        grad_in = _col2im_packed(gcols, (n * c, 1, h, w), self.k, self.s, 0,
-                                 _workspace(self._ws, (n * c, 1, h, w)))
-        self._first = None
-        self._x_shape = None
-        return grad_in.reshape(n, c, h, w)
-
-
-class _AvgPoolH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
-        self.k = rows[0].kernel_size
-        self.s = rows[0].stride
-        self._ws: dict[tuple, _ColWorkspace] = {}
-        self._x_shape = None
-
-    def forward(self, x, a, b, bsz):
-        n, c, h, w = x.shape
-        oh = conv_output_size(h, self.k, self.s, 0)
-        ow = conv_output_size(w, self.k, self.s, 0)
-        cols = _im2col_packed(x.reshape(n * c, 1, h, w), self.k, self.s, 0,
-                              _workspace(self._ws, (n * c, 1, h, w)))
-        ob = self.tr._buf(self.li, "ob", (cols.shape[0],))
-        np.mean(cols, axis=1, out=ob)
-        self._x_shape = (n, c, h, w)
-        return ob.reshape(n, c, oh, ow)
-
-    def backward(self, g, a, b, bsz, need_input):
-        if not need_input:
-            self._x_shape = None
-            return None
-        n, c, h, w = self._x_shape
-        window = self.k * self.k
-        gd = self.tr._buf(self.li, "gd", (n * c * g.shape[2] * g.shape[3], 1))
-        np.divide(g.reshape(-1, 1), window, out=gd)
-        gcols = self.tr._buf(self.li, "gcols", (gd.shape[0], window))
-        gcols[:, :] = gd
-        grad_in = _col2im_packed(gcols, (n * c, 1, h, w), self.k, self.s, 0,
-                                 _workspace(self._ws, (n * c, 1, h, w)))
-        self._x_shape = None
-        return grad_in.reshape(n, c, h, w)
-
-
-class _GlobalAvgPoolH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
-        self._x_shape = None
-
-    def forward(self, x, a, b, bsz):
-        n, c = x.shape[0], x.shape[1]
-        ob = self.tr._buf(self.li, "ob", (n, c))
-        np.mean(x, axis=(2, 3), out=ob)
-        self._x_shape = x.shape
-        return ob
-
-    def backward(self, g, a, b, bsz, need_input):
-        if not need_input:
-            self._x_shape = None
-            return None
-        n, c, h, w = self._x_shape
-        sm = self.tr._buf(self.li, "sm", (n, c))
-        np.divide(g, h * w, out=sm)
-        gi = self.tr._buf(self.li, "gi", (n, c, h, w))
-        gi[:, :, :, :] = sm[:, :, None, None]
-        self._x_shape = None
-        return gi
-
-
-class _ReLUH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
-        self._mask = None
-
-    def forward(self, x, a, b, bsz):
-        mask = self.tr._buf(self.li, "mask", x.shape, dtype=np.bool_)
-        np.greater(x, 0, out=mask)
-        ob = self.tr._out_like(self.li, "ob", x)
-        np.maximum(x, 0.0, out=ob)
-        self._mask = mask
-        return ob
-
-    def backward(self, g, a, b, bsz, need_input):
-        if not need_input:
-            self._mask = None
-            return None
-        gi = self.tr._buf(self.li, "gi", g.shape)
-        np.multiply(g, self._mask, out=gi)
-        self._mask = None
-        return gi
-
-
-class _TanhH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
-        self._out = None
-
-    def forward(self, x, a, b, bsz):
-        ob = self.tr._out_like(self.li, "ob", x)
-        np.tanh(x, out=ob)
-        self._out = ob
-        return ob
-
-    def backward(self, g, a, b, bsz, need_input):
-        if not need_input:
-            self._out = None
-            return None
-        sq = self.tr._buf(self.li, "sq", g.shape)
-        np.power(self._out, 2, out=sq)
-        np.subtract(1.0, sq, out=sq)
-        gi = self.tr._buf(self.li, "gi", g.shape)
-        np.multiply(g, sq, out=gi)
-        self._out = None
-        return gi
-
-
-class _DropoutH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
-        self.rate = rows[0].rate
-        self._mask = None
-
-    def forward(self, x, a, b, bsz):
-        if self.rate == 0.0:
-            return x
-        keep = 1.0 - self.rate
-        feat = x.shape[1:]
-        mask = self.tr._buf(self.li, "mask", x.shape)
-        for i in range(b - a):
-            # Each client's mask comes off its own layer RNG, exactly
-            # one draw per step — the serial stream order.
-            mask[i * bsz:(i + 1) * bsz] = (
-                self.rows[a + i]._rng.random((bsz,) + feat) < keep
-            ) / keep
-        ob = self.tr._buf(self.li, "ob", x.shape)
-        np.multiply(x, mask, out=ob)
-        self._mask = mask
-        return ob
-
-    def backward(self, g, a, b, bsz, need_input):
-        if self.rate == 0.0:
-            return g if need_input else None
-        mask = self._mask
-        self._mask = None
-        if not need_input:
-            return None
-        gi = self.tr._buf(self.li, "gi", g.shape)
-        np.multiply(g, mask, out=gi)
-        return gi
-
-
-class _FlattenH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
-        self._x_shape = None
-
-    def forward(self, x, a, b, bsz):
-        self._x_shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, g, a, b, bsz, need_input):
-        shape = self._x_shape
-        self._x_shape = None
-        if not need_input:
-            return None
-        return g.reshape(shape)
-
-
-class _BatchNormH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
-        self.c = rows[0].num_channels
-        self.Pg = _carve(tr._P, offset, (self.c,))
-        self.Gg = _carve(tr._G, offset, (self.c,))
-        self.Pb = _carve(tr._P, offset + self.c, (self.c,))
-        self.Gb = _carve(tr._G, offset + self.c, (self.c,))
-        self.param_size = 2 * self.c
-        self._cache = None
-
-    def forward(self, x, a, b, bsz):
-        m = b - a
-        n, c, h, w = x.shape
-        means = self.tr._buf(self.li, "means", (m, c))
-        invs = self.tr._buf(self.li, "invs", (m, c))
-        xh = self.tr._buf(self.li, "xh", (n, c, h, w))
-        for i in range(m):
-            lay = self.rows[a + i]
-            xs = x[i * bsz:(i + 1) * bsz]
-            mean = xs.mean(axis=(0, 2, 3))
-            var = xs.var(axis=(0, 2, 3))
-            lay.running_mean *= 1.0 - lay.momentum
-            lay.running_mean += lay.momentum * mean
-            lay.running_var *= 1.0 - lay.momentum
-            lay.running_var += lay.momentum * var
-            means[i, :] = mean
-            invs[i, :] = 1.0 / np.sqrt(var + lay.eps)
-            np.subtract(xs, mean[None, :, None, None],
-                        out=xh[i * bsz:(i + 1) * bsz])
-        xh5 = xh.reshape(m, bsz, c, h, w)
-        xh5 *= invs[:, None, :, None, None]
-        # ``ob`` mimics the serial output layout (permuted after a
-        # conv), so it cannot be reshaped to 5-D as a view; apply the
-        # per-client affine row by row instead.
-        ob = self.tr._out_like(self.li, "ob", x)
-        for i in range(m):
-            os_ = ob[i * bsz:(i + 1) * bsz]
-            np.multiply(xh[i * bsz:(i + 1) * bsz],
-                        self.Pg[a + i][None, :, None, None], out=os_)
-            os_ += self.Pb[a + i][None, :, None, None]
-        self._cache = (xh, invs, (n, c, h, w))
-        return ob
-
-    def backward(self, g, a, b, bsz, need_input):
-        m = b - a
-        xh, invs, shape = self._cache
-        self._cache = None
-        n, c, h, w = shape
-        me = bsz * h * w
-        prod = self.tr._buf(self.li, "prod", (n, c, h, w))
-        np.multiply(g, xh, out=prod)
-        gs = self.tr._buf(self.li, "gs", (m, c))
-        bs_ = self.tr._buf(self.li, "bs", (m, c))
-        for i in range(m):
-            np.sum(prod[i * bsz:(i + 1) * bsz], axis=(0, 2, 3), out=gs[i])
-            np.sum(g[i * bsz:(i + 1) * bsz], axis=(0, 2, 3), out=bs_[i])
-        self.Gg[a:b] += gs
-        self.Gb[a:b] += bs_
-        if not need_input:
-            return None
-        gb = self.tr._buf(self.li, "gb", (n, c, h, w))
-        gb5 = gb.reshape(m, bsz, c, h, w)
-        g5 = g.reshape(m, bsz, c, h, w)
-        np.multiply(g5, self.Pg[a:b][:, None, :, None, None], out=gb5)
-        sg = self.tr._buf(self.li, "sg", (m, c))
-        sgx = self.tr._buf(self.li, "sgx", (m, c))
-        for i in range(m):
-            np.sum(gb[i * bsz:(i + 1) * bsz], axis=(0, 2, 3), out=sg[i])
-        np.multiply(gb, xh, out=prod)
-        for i in range(m):
-            np.sum(prod[i * bsz:(i + 1) * bsz], axis=(0, 2, 3), out=sgx[i])
-        sg /= me
-        gi = self.tr._buf(self.li, "gi", (n, c, h, w))
-        gi5 = gi.reshape(m, bsz, c, h, w)
-        xh5 = xh.reshape(m, bsz, c, h, w)
-        # Serial parses ``x_hat * sum_gx / m`` left-to-right: multiply
-        # by the undivided sum first, then divide the product by m.
-        np.multiply(xh5, sgx[:, None, :, None, None], out=gi5)
-        gi /= me
-        np.subtract(gb5, sg[:, None, :, None, None], out=gb5)
-        np.subtract(gb5, gi5, out=gi5)
-        gi5 *= invs[:, None, :, None, None]
-        return gi
-
-
-class _GroupNormH(_Handler):
-    """Group norm statistics are per-sample, so the fused pass can use
-    the serial expressions verbatim over the stacked batch; only the
-    per-client affine parameters need row-wise treatment."""
-
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
-        self.groups = rows[0].num_groups
-        self.c = rows[0].num_channels
-        self.eps = rows[0].eps
-        self.Pg = _carve(tr._P, offset, (self.c,))
-        self.Gg = _carve(tr._G, offset, (self.c,))
-        self.Pb = _carve(tr._P, offset + self.c, (self.c,))
-        self.Gb = _carve(tr._G, offset + self.c, (self.c,))
-        self.param_size = 2 * self.c
-        self._cache = None
-
-    def forward(self, x, a, b, bsz):
-        m = b - a
-        n, c, h, w = x.shape
-        grouped = x.reshape(n, self.groups, c // self.groups, h, w)
-        mean = grouped.mean(axis=(2, 3, 4), keepdims=True)
-        var = grouped.var(axis=(2, 3, 4), keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = ((grouped - mean) * inv_std).reshape(x.shape)
-        # ``x_hat`` inherits the input's (possibly permuted) layout
-        # through the reshape views above, and the serial affine output
-        # keeps it; mimic that layout and apply the per-client affine
-        # row by row.
-        ob = self.tr._out_like(self.li, "ob", x_hat)
-        for i in range(m):
-            os_ = ob[i * bsz:(i + 1) * bsz]
-            np.multiply(x_hat[i * bsz:(i + 1) * bsz],
-                        self.Pg[a + i][None, :, None, None], out=os_)
-            os_ += self.Pb[a + i][None, :, None, None]
-        self._cache = (x_hat, inv_std, (n, c, h, w))
-        return ob
-
-    def backward(self, g, a, b, bsz, need_input):
-        m = b - a
-        x_hat, inv_std, shape = self._cache
-        self._cache = None
-        n, c, h, w = shape
-        me = (c // self.groups) * h * w
-        prod = self.tr._buf(self.li, "prod", (n, c, h, w))
-        np.multiply(g, x_hat, out=prod)
-        gs = self.tr._buf(self.li, "gs", (m, c))
-        bs_ = self.tr._buf(self.li, "bs", (m, c))
-        for i in range(m):
-            np.sum(prod[i * bsz:(i + 1) * bsz], axis=(0, 2, 3), out=gs[i])
-            np.sum(g[i * bsz:(i + 1) * bsz], axis=(0, 2, 3), out=bs_[i])
-        self.Gg[a:b] += gs
-        self.Gb[a:b] += bs_
-        if not need_input:
-            return None
-        gb = self.tr._buf(self.li, "gb", (n, c, h, w))
-        gb5 = gb.reshape(m, bsz, c, h, w)
-        g5 = g.reshape(m, bsz, c, h, w)
-        np.multiply(g5, self.Pg[a:b][:, None, :, None, None], out=gb5)
-        g_grouped = gb.reshape(n, self.groups, c // self.groups, h, w)
-        x_hat_grouped = x_hat.reshape(n, self.groups, c // self.groups, h, w)
-        sum_g = g_grouped.sum(axis=(2, 3, 4), keepdims=True)
-        sum_gx = (g_grouped * x_hat_grouped).sum(axis=(2, 3, 4), keepdims=True)
-        grad_grouped = inv_std * (
-            g_grouped - sum_g / me - x_hat_grouped * sum_gx / me
-        )
-        return grad_grouped.reshape(shape)
-
-
-_HANDLER_TYPES: dict[type, type] = {
-    Linear: _LinearH,
-    Conv2d: _Conv2dH,
-    MaxPool2d: _MaxPoolH,
-    AvgPool2d: _AvgPoolH,
-    GlobalAvgPool2d: _GlobalAvgPoolH,
-    ReLU: _ReLUH,
-    Tanh: _TanhH,
-    Dropout: _DropoutH,
-    Flatten: _FlattenH,
-    BatchNorm2d: _BatchNormH,
-    GroupNorm: _GroupNormH,
-}
 
 
 # ----------------------------------------------------------------------
@@ -863,61 +236,31 @@ class MultiClientTrainer:
         self._C = (np.empty((k, self.d), dtype=np.float64)
                    if use_corrections else None)
 
-        self._bufs: dict[tuple, np.ndarray] = {}
+        # Step-level scratch (stacked minibatch, fused loss), pooled by
+        # shape exactly like a layer position's.
+        self._scratch = LayerStack(())
+        self._scratch.training = True
         self._aranges: dict[int, np.ndarray] = {}
 
-        self.handlers: list[_Handler] = []
+        # One K-row stack per layer position; the rows are the clients'
+        # live layers, so dropout RNGs and batch-norm running stats
+        # advance on the real per-client objects.
+        self._layers = list(self._models[0].layers)
+        self._stacks: list[LayerStack] = []
         offset = 0
-        for li, layer in enumerate(ref.layers):
-            rows = [m.layers[li] for m in self._models]
-            handler = _HANDLER_TYPES[type(layer)](self, li, rows, offset)
-            offset += handler.param_size
-            self.handlers.append(handler)
+        for li, layer in enumerate(self._layers):
+            params, grads = [], []
+            for p in layer.parameters():
+                params.append(_carve(self._P, offset, p.data.shape))
+                grads.append(_carve(self._G, offset, p.data.shape))
+                offset += p.size
+            st = LayerStack([m.layers[li] for m in self._models], params, grads)
+            st.training = True
+            self._stacks.append(st)
         if offset != self.d:
             raise UnsupportedModelError("parameter layout mismatch")
 
-    def release(self) -> None:
-        """Drop the layer handlers; the trainer is unusable afterwards.
-
-        Each handler points back at its trainer, so a discarded trainer
-        is cyclic garbage that keeps its parameter stacks and scratch
-        buffers until the next full collection.  Releasing breaks the
-        cycle and frees them with the last outside reference.
-        """
-        self.handlers = []
-
     # ------------------------------------------------------------------
-    def _buf(self, li: int, tag: str, shape: tuple[int, ...],
-             dtype=np.float64) -> np.ndarray:
-        key = (li, tag, shape, dtype)
-        buf = self._bufs.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            # reprolint: allow[R403] dict memo insert, not an ndarray scatter
-            self._bufs[key] = buf
-        return buf
-
-    def _out_like(self, li: int, tag: str, proto: np.ndarray,
-                  dtype=np.float64) -> np.ndarray:
-        """Scratch buffer with the layout numpy's order-``K`` ufunc
-        allocation gives over ``proto``: packed, keeping ``proto``'s
-        stride ordering.  Conv outputs are ``(N, oh, ow, oc)`` buffers
-        viewed through ``transpose(0, 3, 1, 2)``, and serial unary ops
-        (ReLU, tanh, batch-norm affine) propagate that permuted layout;
-        downstream reductions (global-average-pool means, batch-norm
-        statistics) sum in stride order, so the fused buffers must
-        carry the same strides to keep pairwise summation identical."""
-        if proto.flags.c_contiguous:
-            return self._buf(li, tag, proto.shape, dtype)
-        perm = sorted(range(proto.ndim),
-                      key=lambda axis: (-proto.strides[axis], axis))
-        base = self._buf(li, tag, tuple(proto.shape[a] for a in perm), dtype)
-        inv = [0] * len(perm)
-        for pos, axis in enumerate(perm):
-            # reprolint: allow[R403] python-list element store, no arrays
-            inv[axis] = pos
-        return base.transpose(inv)
-
     def _arange(self, n: int) -> np.ndarray:
         ar = self._aranges.get(n)
         if ar is None:
@@ -986,8 +329,8 @@ class MultiClientTrainer:
         m = b - a
         n_total = m * bsz
         bs = self.batch_size
-        xb = self._buf(-1, "xb", (n_total,) + self._models[0].input_shape)
-        yb = self._buf(-1, "yb", (n_total,), dtype=np.intp)
+        xb = self._scratch.buf("xb", (n_total,) + self._models[0].input_shape)
+        yb = self._scratch.buf("yb", (n_total,), dtype=np.intp)
         for i in range(m):
             r = a + i
             idx = perms[r][s * bs:s * bs + bsz]
@@ -997,33 +340,33 @@ class MultiClientTrainer:
         self._G[a:b].fill(0.0)
 
         out = xb
-        for handler in self.handlers:
-            out = handler.forward(out, a, b, bsz)
+        for layer, st in zip(self._layers, self._stacks):
+            out = layer._forward(st, out, a, b, bsz)
 
         # Fused softmax cross-entropy: identical expression chain to
         # SoftmaxCrossEntropy, with per-client loss means.
-        mx = self._buf(-1, "mx", (n_total, 1))
+        mx = self._scratch.buf("mx", (n_total, 1))
         np.max(out, axis=-1, keepdims=True, out=mx)
-        shifted = self._buf(-1, "shifted", (n_total, self.num_classes))
+        shifted = self._scratch.buf("shifted", (n_total, self.num_classes))
         np.subtract(out, mx, out=shifted)
-        expb = self._buf(-1, "expb", (n_total, self.num_classes))
+        expb = self._scratch.buf("expb", (n_total, self.num_classes))
         np.exp(shifted, out=expb)
         np.sum(expb, axis=-1, keepdims=True, out=mx)
         np.log(mx, out=mx)
-        logp = self._buf(-1, "logp", (n_total, self.num_classes))
+        logp = self._scratch.buf("logp", (n_total, self.num_classes))
         np.subtract(shifted, mx, out=logp)
         ar = self._arange(n_total)
         picked = logp[ar, yb]
         for i in range(m):
             losses[a + i].append(float(-picked[i * bsz:(i + 1) * bsz].mean()))
-        gl = self._buf(-1, "gl", (n_total, self.num_classes))
+        gl = self._scratch.buf("gl", (n_total, self.num_classes))
         np.exp(logp, out=gl)
         gl[ar, yb] -= 1.0
         gl /= bsz
 
         g = gl
-        for li in range(len(self.handlers) - 1, -1, -1):
-            g = self.handlers[li].backward(g, a, b, bsz, need_input=li > 0)
+        for li in range(len(self._layers) - 1, -1, -1):
+            g = self._layers[li]._backward(self._stacks[li], g, a, b, bsz, li > 0)
 
         # Row-wise optimizer, in the exact serial op order:
         # prox -> scaffold -> weight decay -> momentum -> update.

@@ -36,9 +36,8 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 class ConvWorkspace:
     """Reusable im2col/col2im scratch buffers for one call geometry.
 
-    Holds the four big intermediates of an im2col convolution:
+    Holds the three big intermediates of an im2col convolution:
 
-    * ``gather``   — (N, C, kh, kw, out_h, out_w) window gather,
     * ``cols``     — (N*out_h*out_w, C*kh*kw) column matrix,
     * ``pad_in``   — zero-padded input copy (forward, padding > 0),
     * ``pad_out``  — col2im scatter target.
@@ -49,11 +48,10 @@ class ConvWorkspace:
     border across calls: only the interior is rewritten.
     """
 
-    __slots__ = ("_key", "_gather", "_cols", "_pad_in", "_pad_out")
+    __slots__ = ("_key", "_cols", "_pad_in", "_pad_out")
 
     def __init__(self) -> None:
         self._key: tuple | None = None
-        self._gather: np.ndarray | None = None
         self._cols: np.ndarray | None = None
         self._pad_in: np.ndarray | None = None
         self._pad_out: np.ndarray | None = None
@@ -74,9 +72,6 @@ class ConvWorkspace:
         key = (x_shape, kernel_h, kernel_w, stride, padding, np.dtype(dtype))
         if key != self._key:
             self._key = key
-            self._gather = np.empty(
-                (n, c, kernel_h, kernel_w, out_h, out_w), dtype=dtype
-            )
             self._cols = np.empty(
                 (n * out_h * out_w, c * kernel_h * kernel_w), dtype=dtype
             )
@@ -100,46 +95,43 @@ def im2col(
     kernel_w)`` where each row is one receptive field, laid out so that
     ``cols @ weights.reshape(out_c, -1).T`` computes the convolution.
 
+    Every value is written once, straight into the column matrix.
+    Overlapping windows (convolutions) are one ``np.copyto`` from a
+    zero-cost strided view of all receptive fields; non-overlapping
+    ones (pooling) are ``kernel_h * kernel_w`` strided slice copies,
+    which beat the single copy there because its innermost runs are
+    only ``kernel_w`` long.  Both move the same values, so the choice
+    is made by geometry alone.
+
     With a ``workspace`` the returned array is the workspace's cached
     column buffer (valid until the next same-workspace call); without
-    one, fresh arrays are allocated as before.
+    one, fresh arrays are allocated.
     """
     n, c, h, w = x.shape
-
-    if workspace is not None:
-        out_h, out_w = workspace._prepare(
-            x.shape, kernel_h, kernel_w, stride, padding, x.dtype
-        )
-        if padding > 0:
-            # The border was zeroed at allocation and is never written
-            # afterwards; only the interior needs refreshing.
-            workspace._pad_in[:, :, padding:-padding, padding:-padding] = x
-            x = workspace._pad_in
-        cols = workspace._gather
+    ws = workspace if workspace is not None else ConvWorkspace()
+    out_h, out_w = ws._prepare(x.shape, kernel_h, kernel_w, stride, padding, x.dtype)
+    if padding > 0:
+        # The border was zeroed at allocation and is never written
+        # afterwards; only the interior needs refreshing.
+        ws._pad_in[:, :, padding:-padding, padding:-padding] = x
+        x = ws._pad_in
+    cols = ws._cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
+    if stride >= kernel_h and stride >= kernel_w:
+        for i in range(kernel_h):
+            i_max = i + stride * out_h
+            for j in range(kernel_w):
+                j_max = j + stride * out_w
+                cols[:, :, :, :, i, j] = (
+                    x[:, :, i:i_max:stride, j:j_max:stride].transpose(0, 2, 3, 1)
+                )
     else:
-        out_h = conv_output_size(h, kernel_h, stride, padding)
-        out_w = conv_output_size(w, kernel_w, stride, padding)
-        if padding > 0:
-            x = np.pad(
-                x,
-                ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                mode="constant",
-            )
-        cols = np.empty((n, c, kernel_h, kernel_w, out_h, out_w), dtype=x.dtype)
-
-    for i in range(kernel_h):
-        i_max = i + stride * out_h
-        for j in range(kernel_w):
-            j_max = j + stride * out_w
-            cols[:, :, i, j, :, :] = x[:, :, i:i_max:stride, j:j_max:stride]
-
-    # (N, out_h, out_w, C, kh, kw) -> rows of receptive fields.
-    rows = cols.transpose(0, 4, 5, 1, 2, 3)
-    if workspace is not None:
-        out = workspace._cols
-        np.copyto(out.reshape(n, out_h, out_w, c, kernel_h, kernel_w), rows)
-        return out
-    return rows.reshape(n * out_h * out_w, c * kernel_h * kernel_w)
+        sn, sc, sh, sw = x.strides
+        windows = np.lib.stride_tricks.as_strided(
+            x, shape=cols.shape,
+            strides=(sn, stride * sh, stride * sw, sc, sh, sw),
+        )
+        np.copyto(cols, windows)
+    return ws._cols
 
 
 def col2im(
@@ -155,33 +147,27 @@ def col2im(
 
     Overlapping receptive fields accumulate, which is exactly the
     gradient of the im2col gather — so this implements the backward
-    pass of convolution with respect to its input.
+    pass of convolution with respect to its input.  The target is
+    zero-filled and accumulated in fixed ``(i, j)`` order, so sums
+    (and the absorption of signed zeros) do not depend on the batch
+    a row belongs to.
 
     With a ``workspace`` the result is (a view into) the workspace's
     cached scatter buffer, valid until the next same-workspace call.
     """
     n, c, h, w = x_shape
-
-    if workspace is not None:
-        out_h, out_w = workspace._prepare(
-            x_shape, kernel_h, kernel_w, stride, padding, cols.dtype
-        )
-        padded = workspace._pad_out
-        padded.fill(0.0)
-    else:
-        out_h = conv_output_size(h, kernel_h, stride, padding)
-        out_w = conv_output_size(w, kernel_w, stride, padding)
-        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-
+    ws = workspace if workspace is not None else ConvWorkspace()
+    out_h, out_w = ws._prepare(x_shape, kernel_h, kernel_w, stride, padding, cols.dtype)
+    padded = ws._pad_out
+    padded.fill(0.0)
     cols = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
-    cols = cols.transpose(0, 3, 4, 5, 1, 2)
-
     for i in range(kernel_h):
         i_max = i + stride * out_h
         for j in range(kernel_w):
             j_max = j + stride * out_w
-            padded[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
-
+            padded[:, :, i:i_max:stride, j:j_max:stride] += (
+                cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+            )
     if padding > 0:
         return padded[:, :, padding:-padding, padding:-padding]
     return padded

@@ -17,9 +17,16 @@ All layers share the :class:`Layer` interface:
 ``parameters()``
     The layer's trainable :class:`Parameter` objects, in a stable
     order.
+
+Each layer type implements its arithmetic once, over a leading client
+axis (:class:`LayerStack`): ``forward``/``backward`` run it as a
+one-row stack, and :class:`repro.nn.batched.MultiClientTrainer` runs
+the same code over K clients at once.
 """
 
 from __future__ import annotations
+
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -28,6 +35,7 @@ from repro.nn.conv_utils import ConvWorkspace, col2im, conv_output_size, im2col
 
 __all__ = [
     "Parameter",
+    "LayerStack",
     "Layer",
     "Linear",
     "Conv2d",
@@ -80,13 +88,122 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
+class LayerStack:
+    """One layer position over a leading client axis.
+
+    Every layer's arithmetic exists once, written against this object:
+    ``rows`` are the live layer instances of K models (dropout RNGs and
+    batch-norm running statistics are read and advanced on the row
+    that owns them), ``params``/``grads`` are ``(K, ...)`` stacks of
+    each :class:`Parameter` in :meth:`Layer.parameters` order, and one
+    call covers the contiguous rows ``[a, b)`` with ``bsz`` samples per
+    row stacked as ``((b - a) * bsz, ...)``.  A layer called on its own
+    is the one-row case (:meth:`Layer.forward`); the fused trainer in
+    :mod:`repro.nn.batched` builds K-row stacks over its parameter
+    matrix.
+
+    The stack also keeps what a training forward leaves for backward
+    (``cache``) and the position's scratch.  Training buffers are
+    pooled by shape, so steady-state training allocates nothing;
+    evaluation allocates fresh arrays, so an eval pass neither pins
+    its activations nor touches state a pending backward reads.  The
+    im2col workspace is likewise kept per mode.
+    """
+
+    __slots__ = ("rows", "params", "grads", "training", "cache", "_pool", "_ws")
+
+    def __init__(
+        self,
+        rows: Sequence[Layer],
+        params: Sequence[np.ndarray] = (),
+        grads: Sequence[np.ndarray] = (),
+    ) -> None:
+        self.rows = rows
+        self.params = params
+        self.grads = grads
+        self.training = False
+        self.cache = None
+        self._pool: dict[tuple, np.ndarray] = {}
+        self._ws = (ConvWorkspace(), ConvWorkspace())
+
+    def buf(self, tag: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """Scratch array: pooled per ``(tag, shape)`` in training, fresh in eval."""
+        if not self.training:
+            return np.empty(shape, dtype=dtype)
+        key = (tag, shape, dtype)
+        buf = self._pool.get(key)
+        if buf is None:
+            buf = np.empty(shape, dtype=dtype)
+            # reprolint: allow[R403] dict memo insert, not an ndarray scatter
+            self._pool[key] = buf
+        return buf
+
+    def like(self, tag: str, proto: np.ndarray) -> np.ndarray:
+        """Scratch with the layout numpy's order-``K`` ufunc allocation
+        gives over ``proto``: packed, keeping ``proto``'s stride order.
+        Conv outputs are ``(N, oh, ow, oc)`` buffers viewed through
+        ``transpose(0, 3, 1, 2)``; unary ops keep that layout, and
+        downstream reductions (pooling means, normalisation
+        statistics) sum in stride order, so the layout fixes the
+        summation order."""
+        if proto.flags.c_contiguous:
+            return self.buf(tag, proto.shape)
+        perm = sorted(range(proto.ndim), key=lambda axis: (-proto.strides[axis], axis))
+        base = self.buf(tag, tuple(proto.shape[axis] for axis in perm))
+        return base.transpose(np.argsort(perm))
+
+    def workspace(self) -> ConvWorkspace:
+        """The im2col workspace of the current mode."""
+        return self._ws[self.training]
+
+    def take(self) -> Any:
+        """The training forward's cache, consumed by backward."""
+        cache = self.cache
+        if cache is None:
+            raise RuntimeError("backward called before forward(training=True)")
+        self.cache = None
+        return cache
+
+
 class Layer:
-    """Base class for all layers."""
+    """Base class for all layers.
+
+    Subclasses implement ``_forward(st, x, a, b, bsz)`` and
+    ``_backward(st, g, a, b, bsz, need_input)`` over a
+    :class:`LayerStack`; ``forward``/``backward`` run them on the
+    layer's own parameters as a one-row stack.
+    """
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        raise NotImplementedError
+        st = self._one_row()
+        st.training = training
+        return self._forward(st, x, 0, 1, x.shape[0])
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        """The input gradient; parameter gradients accumulate into
+        ``Parameter.grad``.  The result may be layer scratch, valid
+        until the layer's next call."""
+        st = self._one_row()
+        st.training = True
+        return self._backward(st, grad_out, 0, 1, grad_out.shape[0], True)
+
+    def _one_row(self) -> LayerStack:
+        st = getattr(self, "_stack", None)
+        if st is None:
+            st = self._stack = LayerStack((self,))
+        # Zero-copy (1, ...) views, taken per call because Sequential
+        # rebinds ``Parameter.data`` onto its flat buffer.
+        params = self.parameters()
+        st.params = [p.data[None] for p in params]
+        st.grads = [p.grad[None] for p in params]
+        return st
+
+    def _forward(self, st: LayerStack, x: np.ndarray, a: int, b: int,
+                 bsz: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def _backward(self, st: LayerStack, g: np.ndarray, a: int, b: int,
+                  bsz: int, need_input: bool) -> np.ndarray | None:
         raise NotImplementedError
 
     def parameters(self) -> list[Parameter]:
@@ -131,29 +248,41 @@ class Linear(Layer):
             initializers.kaiming_uniform((out_features, in_features), rng),
         )
         self.bias = Parameter(f"{name}.bias", initializers.zeros((out_features,))) if bias else None
-        self._x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def _forward(self, st, x, a, b, bsz):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"Linear expected (N, {self.in_features}), got {x.shape}"
             )
-        if training:
-            self._x = x
-        out = x @ self.weight.data.T
+        m = b - a
+        x3 = x.reshape(m, bsz, self.in_features)
+        o3 = st.buf("o3", (m, bsz, self.out_features))
+        np.matmul(x3, st.params[0][a:b].transpose(0, 2, 1), out=o3)
         if self.bias is not None:
-            out = out + self.bias.data
-        return out
+            o3 += st.params[1][a:b][:, None, :]
+        if st.training:
+            st.cache = x3
+        return o3.reshape(m * bsz, self.out_features)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        self.weight.grad += grad_out.T @ self._x
+    def _backward(self, st, g, a, b, bsz, need_input):
+        x3 = st.take()
+        m = b - a
+        g3 = g.reshape(m, bsz, self.out_features)
+        wg = st.buf("wg", (m, self.out_features, self.in_features))
+        np.matmul(g3.transpose(0, 2, 1), x3, out=wg)
+        st.grads[0][a:b] += wg
         if self.bias is not None:
-            self.bias.grad += grad_out.sum(axis=0)
-        grad_in = grad_out @ self.weight.data
-        self._x = None
-        return grad_in
+            bg = st.buf("bg", (m, self.out_features))
+            # One stacked reduce: per output element it sums the same
+            # ``bsz`` addends in the same order as a per-row
+            # ``np.sum(g3[i], axis=0)``, so rows are independent.
+            np.add.reduce(g3, axis=1, out=bg)
+            st.grads[1][a:b] += bg
+        if not need_input:
+            return None
+        gi = st.buf("gi", (m, bsz, self.in_features))
+        np.matmul(g3, st.params[0][a:b], out=gi)
+        return gi.reshape(m * bsz, self.in_features)
 
     def parameters(self) -> list[Parameter]:
         params = [self.weight]
@@ -196,56 +325,51 @@ class Conv2d(Layer):
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         self.weight = Parameter(f"{name}.weight", initializers.kaiming_uniform(shape, rng))
         self.bias = Parameter(f"{name}.bias", initializers.zeros((out_channels,))) if bias else None
-        self._cols: np.ndarray | None = None
-        self._x_shape: tuple[int, int, int, int] | None = None
-        # Separate train/eval workspaces: training forward caches the
-        # column buffer for backward, so an interleaved evaluation pass
-        # must not overwrite it.
-        self._ws_train = ConvWorkspace()
-        self._ws_eval = ConvWorkspace()
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def _forward(self, st, x, a, b, bsz):
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"Conv2d expected (N, {self.in_channels}, H, W), got {x.shape}"
             )
+        m = b - a
         n, _, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.padding
         out_h = conv_output_size(h, k, s, p)
         out_w = conv_output_size(w, k, s, p)
-        cols = im2col(x, k, k, s, p, self._ws_train if training else self._ws_eval)
-        if training:
-            self._cols = cols
-            self._x_shape = x.shape
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
-        out = cols @ w_mat.T
+        # Training and evaluation use separate workspaces, so an
+        # interleaved eval pass cannot overwrite the cached columns.
+        cols3 = im2col(x, k, k, s, p, st.workspace()).reshape(m, bsz * out_h * out_w, -1)
+        o3 = st.buf("o3", (m, bsz * out_h * out_w, self.out_channels))
+        w3 = st.params[0][a:b].reshape(m, self.out_channels, -1)
+        np.matmul(cols3, w3.transpose(0, 2, 1), out=o3)
         if self.bias is not None:
-            out = out + self.bias.data
-        out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
-        return out
+            o3 += st.params[1][a:b][:, None, :]
+        if st.training:
+            st.cache = (cols3, x.shape)
+        return o3.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._x_shape is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        n, _, out_h, out_w = grad_out.shape
-        grad_mat = grad_out.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
-        self.weight.grad += (grad_mat.T @ self._cols).reshape(self.weight.data.shape)
+    def _backward(self, st, g, a, b, bsz, need_input):
+        cols3, x_shape = st.take()
+        m = b - a
+        k = self.kernel_size
+        gm3 = g.transpose(0, 2, 3, 1).reshape(m, -1, self.out_channels)
+        wg = st.buf("wg", (m, self.out_channels, cols3.shape[2]))
+        np.matmul(gm3.transpose(0, 2, 1), cols3, out=wg)
+        st.grads[0][a:b] += wg.reshape(m, self.out_channels, self.in_channels, k, k)
         if self.bias is not None:
-            self.bias.grad += grad_mat.sum(axis=0)
-        grad_cols = grad_mat @ w_mat
-        grad_in = col2im(
-            grad_cols,
-            self._x_shape,
-            self.kernel_size,
-            self.kernel_size,
-            self.stride,
-            self.padding,
-            self._ws_train,
+            bg = st.buf("bg", (m, self.out_channels))
+            # Stacked reduce, same per-element addend order as a
+            # per-row sum (see Linear._backward).
+            np.add.reduce(gm3, axis=1, out=bg)
+            st.grads[1][a:b] += bg
+        if not need_input:
+            return None
+        gc = st.buf("gc", cols3.shape)
+        np.matmul(gm3, st.params[0][a:b].reshape(m, self.out_channels, -1), out=gc)
+        return col2im(
+            gc.reshape(-1, cols3.shape[2]), x_shape, k, k, self.stride,
+            self.padding, st.workspace(),
         )
-        self._cols = None
-        self._x_shape = None
-        return grad_in
 
     def parameters(self) -> list[Parameter]:
         params = [self.weight]
@@ -267,136 +391,105 @@ class Conv2d(Layer):
         return per_output * self.out_channels * out_h * out_w
 
 
-class MaxPool2d(Layer):
+class _Pool2d(Layer):
+    """Square-window pooling; channels become extra batch entries so
+    im2col windows stay single-channel."""
+
+    def __init__(self, kernel_size: int, stride: int | None = None):
+        if kernel_size <= 0:
+            raise ValueError("kernel_size must be positive")
+        self.kernel_size = kernel_size
+        self.stride = stride if stride is not None else kernel_size
+
+    def _windows(self, st, x):
+        """``(N*C*out_h*out_w, k*k)`` windows and the output shape."""
+        n, c, h, w = x.shape
+        k, s = self.kernel_size, self.stride
+        out_shape = (n, c, conv_output_size(h, k, s, 0), conv_output_size(w, k, s, 0))
+        return im2col(x.reshape(n * c, 1, h, w), k, k, s, 0, st.workspace()), out_shape
+
+    def _scatter(self, st, gcols, x_shape):
+        n, c, h, w = x_shape
+        k = self.kernel_size
+        grad_in = col2im(gcols, (n * c, 1, h, w), k, k, self.stride, 0, st.workspace())
+        return grad_in.reshape(x_shape)
+
+    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
+        c, h, w = input_shape
+        out_h = conv_output_size(h, self.kernel_size, self.stride, 0)
+        out_w = conv_output_size(w, self.kernel_size, self.stride, 0)
+        return (c, out_h, out_w)
+
+
+class MaxPool2d(_Pool2d):
     """Max pooling with a square window; window must tile exactly or floor."""
 
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        if kernel_size <= 0:
-            raise ValueError("kernel_size must be positive")
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self._mask: np.ndarray | None = None
-        self._x_shape: tuple[int, int, int, int] | None = None
-        # Backward only needs the boolean mask (cached separately), so
-        # one workspace safely serves train forward, eval forward, and
-        # the col2im scatter in backward.
-        self._ws = ConvWorkspace()
+    def _forward(self, st, x, a, b, bsz):
+        cols, out_shape = self._windows(st, x)
+        ob = st.buf("ob", (cols.shape[0],))
+        np.max(cols, axis=1, out=ob)
+        if st.training:
+            # The first maximal element per window takes the gradient,
+            # so ties route it exactly once.
+            first = st.buf("first", (cols.shape[0],), dtype=np.intp)
+            np.argmax(cols, axis=1, out=first)
+            st.cache = (first, x.shape)
+        return ob.reshape(out_shape)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        n, c, h, w = x.shape
-        k, s = self.kernel_size, self.stride
-        out_h = conv_output_size(h, k, s, 0)
-        out_w = conv_output_size(w, k, s, 0)
-        # Treat channels as extra batch entries so im2col windows stay
-        # single-channel.
-        reshaped = x.reshape(n * c, 1, h, w)
-        cols = im2col(reshaped, k, k, s, 0, self._ws)
-        out = cols.max(axis=1)
-        if training:
-            mask = cols == out[:, None]
-            # Break ties: keep only the first maximal element per window
-            # so the backward pass routes each gradient exactly once.
-            first = np.argmax(mask, axis=1)
-            mask = np.zeros_like(mask)
-            mask[np.arange(mask.shape[0], dtype=np.intp), first] = True
-            self._mask = mask
-            self._x_shape = (n, c, h, w)
-        return out.reshape(n, c, out_h, out_w)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None or self._x_shape is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        n, c, h, w = self._x_shape
-        grad_flat = grad_out.reshape(-1, 1)
-        grad_cols = self._mask * grad_flat
-        grad_in = col2im(
-            grad_cols,
-            (n * c, 1, h, w),
-            self.kernel_size,
-            self.kernel_size,
-            self.stride,
-            0,
-            self._ws,
-        )
-        self._mask = None
-        self._x_shape = None
-        return grad_in.reshape(n, c, h, w)
-
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        c, h, w = input_shape
-        out_h = conv_output_size(h, self.kernel_size, self.stride, 0)
-        out_w = conv_output_size(w, self.kernel_size, self.stride, 0)
-        return (c, out_h, out_w)
+    def _backward(self, st, g, a, b, bsz, need_input):
+        first, x_shape = st.take()
+        if not need_input:
+            return None
+        window = self.kernel_size * self.kernel_size
+        gcols = st.buf("gcols", (first.shape[0], window))
+        gcols.fill(0.0)
+        # reprolint: allow[R403] first-max scatter: one write per pooling window
+        gcols[np.arange(first.shape[0], dtype=np.intp), first] = g.reshape(-1)
+        return self._scatter(st, gcols, x_shape)
 
 
-class AvgPool2d(Layer):
+class AvgPool2d(_Pool2d):
     """Average pooling with a square window."""
 
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        if kernel_size <= 0:
-            raise ValueError("kernel_size must be positive")
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self._x_shape: tuple[int, int, int, int] | None = None
-        self._ws = ConvWorkspace()
+    def _forward(self, st, x, a, b, bsz):
+        cols, out_shape = self._windows(st, x)
+        ob = st.buf("ob", (cols.shape[0],))
+        np.mean(cols, axis=1, out=ob)
+        if st.training:
+            st.cache = x.shape
+        return ob.reshape(out_shape)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        n, c, h, w = x.shape
-        k, s = self.kernel_size, self.stride
-        out_h = conv_output_size(h, k, s, 0)
-        out_w = conv_output_size(w, k, s, 0)
-        cols = im2col(x.reshape(n * c, 1, h, w), k, k, s, 0, self._ws)
-        out = cols.mean(axis=1)
-        if training:
-            self._x_shape = (n, c, h, w)
-        return out.reshape(n, c, out_h, out_w)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        n, c, h, w = self._x_shape
+    def _backward(self, st, g, a, b, bsz, need_input):
+        x_shape = st.take()
+        if not need_input:
+            return None
         window = self.kernel_size * self.kernel_size
-        grad_cols = np.repeat(grad_out.reshape(-1, 1) / window, window, axis=1)
-        grad_in = col2im(
-            grad_cols,
-            (n * c, 1, h, w),
-            self.kernel_size,
-            self.kernel_size,
-            self.stride,
-            0,
-            self._ws,
-        )
-        self._x_shape = None
-        return grad_in.reshape(n, c, h, w)
-
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        c, h, w = input_shape
-        out_h = conv_output_size(h, self.kernel_size, self.stride, 0)
-        out_w = conv_output_size(w, self.kernel_size, self.stride, 0)
-        return (c, out_h, out_w)
+        gd = st.buf("gd", (g.size, 1))
+        np.divide(g.reshape(-1, 1), window, out=gd)
+        gcols = st.buf("gcols", (g.size, window))
+        gcols[:, :] = gd
+        return self._scatter(st, gcols, x_shape)
 
 
 class GlobalAvgPool2d(Layer):
     """Average over the entire spatial extent, yielding (N, C)."""
 
-    def __init__(self) -> None:
-        self._x_shape: tuple[int, int, int, int] | None = None
+    def _forward(self, st, x, a, b, bsz):
+        ob = st.buf("ob", x.shape[:2])
+        np.mean(x, axis=(2, 3), out=ob)
+        if st.training:
+            st.cache = x.shape
+        return ob
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            self._x_shape = x.shape
-        return x.mean(axis=(2, 3))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        n, c, h, w = self._x_shape
-        # reprolint: allow[R402] broadcast views are read-only; callers mutate grad_in
-        grad_in = np.broadcast_to(
-            grad_out[:, :, None, None] / (h * w), (n, c, h, w)
-        ).copy()
-        self._x_shape = None
-        return grad_in
+    def _backward(self, st, g, a, b, bsz, need_input):
+        n, c, h, w = st.take()
+        if not need_input:
+            return None
+        sm = st.buf("sm", (n, c))
+        np.divide(g, h * w, out=sm)
+        gi = st.buf("gi", (n, c, h, w))
+        gi[:, :, :, :] = sm[:, :, None, None]
+        return gi
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         c, _, _ = input_shape
@@ -406,20 +499,22 @@ class GlobalAvgPool2d(Layer):
 class ReLU(Layer):
     """Rectified linear unit."""
 
-    def __init__(self) -> None:
-        self._mask: np.ndarray | None = None
+    def _forward(self, st, x, a, b, bsz):
+        if st.training:
+            mask = st.buf("mask", x.shape, dtype=np.bool_)
+            np.greater(x, 0, out=mask)
+            st.cache = mask
+        ob = st.like("ob", x)
+        np.maximum(x, 0.0, out=ob)
+        return ob
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            self._mask = x > 0
-        return np.maximum(x, 0.0)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        grad_in = grad_out * self._mask
-        self._mask = None
-        return grad_in
+    def _backward(self, st, g, a, b, bsz, need_input):
+        mask = st.take()
+        if not need_input:
+            return None
+        gi = st.buf("gi", g.shape)
+        np.multiply(g, mask, out=gi)
+        return gi
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return input_shape
@@ -428,21 +523,23 @@ class ReLU(Layer):
 class Tanh(Layer):
     """Hyperbolic tangent activation."""
 
-    def __init__(self) -> None:
-        self._out: np.ndarray | None = None
+    def _forward(self, st, x, a, b, bsz):
+        ob = st.like("ob", x)
+        np.tanh(x, out=ob)
+        if st.training:
+            st.cache = ob
+        return ob
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = np.tanh(x)
-        if training:
-            self._out = out
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        grad_in = grad_out * (1.0 - self._out**2)
-        self._out = None
-        return grad_in
+    def _backward(self, st, g, a, b, bsz, need_input):
+        out = st.take()
+        if not need_input:
+            return None
+        sq = st.buf("sq", g.shape)
+        np.power(out, 2, out=sq)
+        np.subtract(1.0, sq, out=sq)
+        gi = st.buf("gi", g.shape)
+        np.multiply(g, sq, out=gi)
+        return gi
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return input_shape
@@ -461,21 +558,33 @@ class Dropout(Layer):
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
         self._rng = rng
-        self._mask: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.rate == 0.0:
+    def _forward(self, st, x, a, b, bsz):
+        if not st.training or self.rate == 0.0:
             return x
         keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
+        mask = st.buf("mask", x.shape)
+        for i in range(b - a):
+            # Each row's mask comes off its own layer RNG, one draw
+            # per step.
+            mask[i * bsz:(i + 1) * bsz] = (
+                st.rows[a + i]._rng.random((bsz,) + x.shape[1:]) < keep
+            ) / keep
+        ob = st.buf("ob", x.shape)
+        np.multiply(x, mask, out=ob)
+        st.cache = mask
+        return ob
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        grad_in = grad_out * self._mask
-        self._mask = None
-        return grad_in
+    def _backward(self, st, g, a, b, bsz, need_input):
+        mask = st.cache
+        st.cache = None
+        if not need_input:
+            return None
+        if mask is None:  # rate 0: the forward was the identity
+            return g
+        gi = st.buf("gi", g.shape)
+        np.multiply(g, mask, out=gi)
+        return gi
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return input_shape
@@ -484,20 +593,14 @@ class Dropout(Layer):
 class Flatten(Layer):
     """Reshape (N, ...) to (N, -1)."""
 
-    def __init__(self) -> None:
-        self._x_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            self._x_shape = x.shape
+    def _forward(self, st, x, a, b, bsz):
+        if st.training:
+            st.cache = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        grad_in = grad_out.reshape(self._x_shape)
-        self._x_shape = None
-        return grad_in
+    def _backward(self, st, g, a, b, bsz, need_input):
+        shape = st.take()
+        return g.reshape(shape) if need_input else None
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         size = 1

@@ -22,77 +22,48 @@ from repro.nn.layers import Layer, Parameter
 __all__ = ["BatchNorm2d", "GroupNorm"]
 
 
-class BatchNorm2d(Layer):
-    """Batch normalisation over (N, C, H, W) activations."""
+class _AffineNorm(Layer):
+    """The per-channel affine ``gamma * x_hat + beta`` both
+    normalisations end in, with one ``(gamma, beta)`` pair per row."""
 
-    def __init__(self, num_channels: int, momentum: float = 0.1, eps: float = 1e-5,
-                 name: str = "bn"):
-        if num_channels <= 0:
-            raise ValueError("num_channels must be positive")
-        if not 0.0 < momentum <= 1.0:
-            raise ValueError("momentum must be in (0, 1]")
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        self.num_channels = num_channels
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = Parameter(f"{name}.gamma", np.ones(num_channels))
-        self.beta = Parameter(f"{name}.beta", np.zeros(num_channels))
-        # Local buffers (not part of the trainable parameter vector).
-        self.running_mean = np.zeros(num_channels)
-        self.running_var = np.ones(num_channels)
-        self._cache: tuple | None = None
+    gamma: Parameter
+    beta: Parameter
+    num_channels: int
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.num_channels:
-            raise ValueError(
-                f"BatchNorm2d expected (N, {self.num_channels}, H, W), got {x.shape}"
-            )
-        if training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            # In-place EMA (same evaluation order as the rebinding
-            # form → bit-identical); these buffers stay layer-local
-            # and must never become views into a flat parameter
-            # buffer (the FedBN convention).
-            self.running_mean *= 1.0 - self.momentum
-            self.running_mean += self.momentum * mean
-            self.running_var *= 1.0 - self.momentum
-            self.running_var += self.momentum * var
-        else:
-            mean = self.running_mean
-            var = self.running_var
+    def _affine(self, st, x_hat, layout, a, b, bsz):
+        # ``ob`` takes ``layout``'s strides, which a permuted layout
+        # cannot fold into a 5-D row view; apply each row's affine on
+        # its own slice instead.
+        ob = st.like("ob", layout)
+        gamma, beta = st.params
+        for i in range(b - a):
+            rows = slice(i * bsz, (i + 1) * bsz)
+            out = ob[rows]
+            np.multiply(x_hat[rows], gamma[a + i][None, :, None, None], out=out)
+            out += beta[a + i][None, :, None, None]
+        return ob
 
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = (
-            self.gamma.data[None, :, None, None] * x_hat
-            + self.beta.data[None, :, None, None]
-        )
-        if training:
-            self._cache = (x_hat, inv_std, x.shape)
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        x_hat, inv_std, shape = self._cache
-        n, _, h, w = shape
-        m = n * h * w  # elements per channel
-
-        self.gamma.grad += (grad_out * x_hat).sum(axis=(0, 2, 3))
-        self.beta.grad += grad_out.sum(axis=(0, 2, 3))
-
-        # Standard batch-norm input gradient.
-        g = grad_out * self.gamma.data[None, :, None, None]
-        sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
-        sum_gx = (g * x_hat).sum(axis=(0, 2, 3), keepdims=True)
-        grad_in = (
-            inv_std[None, :, None, None]
-            * (g - sum_g / m - x_hat * sum_gx / m)
-        )
-        self._cache = None
-        return grad_in
+    def _affine_grads(self, st, g, x_hat, a, b, bsz, need_input):
+        """Accumulate the gamma/beta gradients; when the input gradient
+        is needed, return ``g * gamma`` (the gradient at ``x_hat``)."""
+        m = b - a
+        n, c, h, w = x_hat.shape
+        prod = st.buf("prod", x_hat.shape)
+        np.multiply(g, x_hat, out=prod)
+        gs = st.buf("gs", (m, c))
+        bs = st.buf("bs", (m, c))
+        for i in range(m):
+            rows = slice(i * bsz, (i + 1) * bsz)
+            np.sum(prod[rows], axis=(0, 2, 3), out=gs[i])
+            np.sum(g[rows], axis=(0, 2, 3), out=bs[i])
+        st.grads[0][a:b] += gs
+        st.grads[1][a:b] += bs
+        if not need_input:
+            return None
+        gb = st.buf("gb", x_hat.shape)
+        np.multiply(g.reshape(m, bsz, c, h, w), st.params[0][a:b][:, None, :, None, None],
+                    out=gb.reshape(m, bsz, c, h, w))
+        return gb
 
     def parameters(self) -> list[Parameter]:
         return [self.gamma, self.beta]
@@ -108,13 +79,100 @@ class BatchNorm2d(Layer):
         return 4 * c * h * w  # normalise + scale + shift, per element
 
 
-class GroupNorm(Layer):
+class BatchNorm2d(_AffineNorm):
+    """Batch normalisation over (N, C, H, W) activations."""
+
+    def __init__(self, num_channels: int, momentum: float = 0.1, eps: float = 1e-5,
+                 name: str = "bn"):
+        if num_channels <= 0:
+            raise ValueError("num_channels must be positive")
+        if not 0.0 < momentum <= 1.0:
+            raise ValueError("momentum must be in (0, 1]")
+        if eps <= 0:
+            raise ValueError("eps must be positive")
+        self.num_channels = num_channels
+        self.momentum = momentum
+        self.eps = eps
+        self.gamma = Parameter(f"{name}.gamma", np.ones(num_channels, dtype=np.float64))
+        self.beta = Parameter(f"{name}.beta", np.zeros(num_channels, dtype=np.float64))
+        # Local buffers (not part of the trainable parameter vector).
+        self.running_mean = np.zeros(num_channels, dtype=np.float64)
+        self.running_var = np.ones(num_channels, dtype=np.float64)
+
+    def _forward(self, st, x, a, b, bsz):
+        if x.ndim != 4 or x.shape[1] != self.num_channels:
+            raise ValueError(
+                f"BatchNorm2d expected (N, {self.num_channels}, H, W), got {x.shape}"
+            )
+        m = b - a
+        n, c, h, w = x.shape
+        invs = st.buf("invs", (m, c))
+        xh = st.buf("xh", (n, c, h, w))
+        for i in range(m):
+            row = st.rows[a + i]
+            xs = x[i * bsz:(i + 1) * bsz]
+            if st.training:
+                mean = xs.mean(axis=(0, 2, 3))
+                var = xs.var(axis=(0, 2, 3))
+                # In-place EMA (same evaluation order as the rebinding
+                # form → bit-identical); these buffers stay layer-local
+                # and must never become views into a flat parameter
+                # buffer (the FedBN convention).
+                row.running_mean *= 1.0 - self.momentum
+                row.running_mean += self.momentum * mean
+                row.running_var *= 1.0 - self.momentum
+                row.running_var += self.momentum * var
+            else:
+                mean = row.running_mean
+                var = row.running_var
+            invs[i, :] = 1.0 / np.sqrt(var + self.eps)
+            np.subtract(xs, mean[None, :, None, None],
+                        out=xh[i * bsz:(i + 1) * bsz])
+        xh5 = xh.reshape(m, bsz, c, h, w)
+        xh5 *= invs[:, None, :, None, None]
+        if st.training:
+            st.cache = (xh, invs)
+        # The output keeps the input's layout (permuted after a conv).
+        return self._affine(st, xh, x, a, b, bsz)
+
+    def _backward(self, st, g, a, b, bsz, need_input):
+        xh, invs = st.take()
+        m = b - a
+        n, c, h, w = xh.shape
+        gb = self._affine_grads(st, g, xh, a, b, bsz, need_input)
+        if gb is None:
+            return None
+        gb5 = gb.reshape(m, bsz, c, h, w)
+        sg = st.buf("sg", (m, c))
+        sgx = st.buf("sgx", (m, c))
+        prod = st.buf("prod", xh.shape)
+        np.multiply(gb, xh, out=prod)
+        for i in range(m):
+            np.sum(gb[i * bsz:(i + 1) * bsz], axis=(0, 2, 3), out=sg[i])
+            np.sum(prod[i * bsz:(i + 1) * bsz], axis=(0, 2, 3), out=sgx[i])
+        count = bsz * h * w  # elements per channel
+        sg /= count
+        gi = st.buf("gi", (n, c, h, w))
+        gi5 = gi.reshape(m, bsz, c, h, w)
+        # ``x_hat * sum_gx / count`` parses left to right: multiply by
+        # the undivided sum first, then divide the product.
+        np.multiply(xh.reshape(m, bsz, c, h, w), sgx[:, None, :, None, None], out=gi5)
+        gi /= count
+        np.subtract(gb5, sg[:, None, :, None, None], out=gb5)
+        np.subtract(gb5, gi5, out=gi5)
+        gi5 *= invs[:, None, :, None, None]
+        return gi
+
+
+class GroupNorm(_AffineNorm):
     """Group normalisation over (N, C, H, W) activations (Wu & He).
 
     Channels are split into ``num_groups`` groups; each sample's group
     is normalised independently, so there is no batch coupling and no
     train/eval mode distinction — the property that makes GroupNorm the
-    normalisation of choice in federated learning.
+    normalisation of choice in federated learning.  Being per-sample,
+    the statistics run over the whole stacked batch at once; only the
+    affine parameters differ by row.
     """
 
     def __init__(self, num_groups: int, num_channels: int, eps: float = 1e-5,
@@ -131,15 +189,14 @@ class GroupNorm(Layer):
         self.num_groups = num_groups
         self.num_channels = num_channels
         self.eps = eps
-        self.gamma = Parameter(f"{name}.gamma", np.ones(num_channels))
-        self.beta = Parameter(f"{name}.beta", np.zeros(num_channels))
-        self._cache: tuple | None = None
+        self.gamma = Parameter(f"{name}.gamma", np.ones(num_channels, dtype=np.float64))
+        self.beta = Parameter(f"{name}.beta", np.zeros(num_channels, dtype=np.float64))
 
     def _grouped(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         return x.reshape(n, self.num_groups, c // self.num_groups, h, w)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def _forward(self, st, x, a, b, bsz):
         if x.ndim != 4 or x.shape[1] != self.num_channels:
             raise ValueError(
                 f"GroupNorm expected (N, {self.num_channels}, H, W), got {x.shape}"
@@ -149,44 +206,22 @@ class GroupNorm(Layer):
         var = grouped.var(axis=(2, 3, 4), keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = ((grouped - mean) * inv_std).reshape(x.shape)
-        out = (
-            self.gamma.data[None, :, None, None] * x_hat
-            + self.beta.data[None, :, None, None]
-        )
-        if training:
-            self._cache = (x_hat, inv_std, x.shape)
-        return out
+        if st.training:
+            st.cache = (x_hat, inv_std)
+        return self._affine(st, x_hat, x_hat, a, b, bsz)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        x_hat, inv_std, shape = self._cache
-        n, c, h, w = shape
-        m = (c // self.num_groups) * h * w  # elements per group
-
-        self.gamma.grad += (grad_out * x_hat).sum(axis=(0, 2, 3))
-        self.beta.grad += grad_out.sum(axis=(0, 2, 3))
-
-        g = (grad_out * self.gamma.data[None, :, None, None])
-        g_grouped = self._grouped(g)
+    def _backward(self, st, g, a, b, bsz, need_input):
+        x_hat, inv_std = st.take()
+        gb = self._affine_grads(st, g, x_hat, a, b, bsz, need_input)
+        if gb is None:
+            return None
+        n, c, h, w = x_hat.shape
+        count = (c // self.num_groups) * h * w  # elements per group
+        g_grouped = self._grouped(gb)
         x_hat_grouped = self._grouped(x_hat)
         sum_g = g_grouped.sum(axis=(2, 3, 4), keepdims=True)
         sum_gx = (g_grouped * x_hat_grouped).sum(axis=(2, 3, 4), keepdims=True)
         grad_grouped = inv_std * (
-            g_grouped - sum_g / m - x_hat_grouped * sum_gx / m
+            g_grouped - sum_g / count - x_hat_grouped * sum_gx / count
         )
-        self._cache = None
-        return grad_grouped.reshape(shape)
-
-    def parameters(self) -> list[Parameter]:
-        return [self.gamma, self.beta]
-
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        c = input_shape[0]
-        if c != self.num_channels:
-            raise ValueError(f"expected {self.num_channels} channels, got {c}")
-        return input_shape
-
-    def flops(self, input_shape: tuple[int, ...]) -> int:
-        c, h, w = input_shape
-        return 4 * c * h * w
+        return grad_grouped.reshape(x_hat.shape)

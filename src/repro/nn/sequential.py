@@ -92,7 +92,12 @@ class Sequential:
     # Forward / backward
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Run all layers in order."""
+        """Run all layers in order.
+
+        A training-mode output may be layer scratch, valid until the
+        next training call through the model; evaluation outputs never
+        are.
+        """
         out = x
         for layer in self.layers:
             out = layer.forward(out, training)

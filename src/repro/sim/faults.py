@@ -192,10 +192,9 @@ class PayloadCorruptionModel(_FaultModel):
     (so the server's CRC-32 integrity check catches it as a
     ``corrupt_frame`` rejection), and ``"blowup"`` scales the whole
     vector by ``magnitude``.  ``nan``/``blowup`` tamper the decoded
-    vector and exercise the numeric screen instead — the engines call
-    :meth:`corrupt_upload`, which routes each kind to the right
-    representation.  :meth:`corrupt` is the legacy vector-only entry
-    point (bitflip there flips one float64 bit in place).
+    vector and exercise the numeric screen instead —
+    :meth:`corrupt_upload` routes each kind to the right
+    representation.
     """
 
     name = "corrupt"
@@ -223,21 +222,6 @@ class PayloadCorruptionModel(_FaultModel):
     def _setup(self, seed: int, ids) -> None:
         for cid in ids:
             self._rngs[cid] = _fault_stream(seed, self.name, cid)
-
-    def corrupt(self, client_id: int, delta: np.ndarray) -> np.ndarray | None:
-        """A corrupted copy of ``delta``, or None if this upload is clean."""
-        self._require_bound()
-        rng = self._rngs.get(client_id)
-        if rng is None or rng.random() >= self.prob:
-            return None
-        out = np.array(delta, dtype=np.float64, copy=True)
-        if self.kind == "bitflip":
-            idx = int(rng.integers(0, out.size))
-            bit = int(rng.integers(0, 64))
-            bits = out.view(np.uint64)
-            bits[idx] ^= np.uint64(1) << np.uint64(bit)
-            return out
-        return self._tamper_vector(rng, out)
 
     def corrupt_upload(
         self, client_id: int, delta: np.ndarray, frame_bytes: bytes

@@ -6,6 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.conv_utils import ConvWorkspace, col2im, conv_output_size, im2col
+from repro.nn.layers import AvgPool2d, Conv2d, Dropout, Linear, MaxPool2d
+from repro.nn.normalization import BatchNorm2d, GroupNorm
+
+# Layers whose training forward caches state for backward:
+# name -> (factory, training/eval input shape).
+CACHING_LAYERS = {
+    "Conv2d": (lambda: Conv2d(2, 3, 3, np.random.default_rng(1), padding=1), (2, 2, 5, 5)),
+    "MaxPool2d": (lambda: MaxPool2d(2), (2, 2, 6, 6)),
+    "AvgPool2d": (lambda: AvgPool2d(2), (2, 2, 6, 6)),
+    "BatchNorm2d": (lambda: BatchNorm2d(2), (2, 2, 5, 5)),
+    "GroupNorm": (lambda: GroupNorm(2, 2), (2, 2, 5, 5)),
+    "Dropout": (lambda: Dropout(0.5, np.random.default_rng(3)), (2, 2, 5, 5)),
+    "Linear": (lambda: Linear(6, 3, np.random.default_rng(1)), (4, 6)),
+}
 
 
 class TestConvOutputSize:
@@ -143,8 +157,6 @@ class TestConvWorkspace:
 
     def test_workspace_steady_state_in_training_loop(self, rng):
         """Conv2d forward/backward with workspaces == fresh-allocation math."""
-        from repro.nn.layers import Conv2d
-
         conv_ws = Conv2d(3, 4, 3, np.random.default_rng(0), padding=1)
         conv_ref = Conv2d(3, 4, 3, np.random.default_rng(0), padding=1)
         for step in range(3):
@@ -168,22 +180,26 @@ class TestConvWorkspace:
             )
             np.testing.assert_array_equal(conv_ws.weight.grad, conv_ref.weight.grad)
 
-    def test_eval_forward_between_train_forward_and_backward(self, rng):
-        # An evaluation pass (same shape) must not clobber the column
-        # buffer a pending backward depends on — hence the separate
-        # train/eval workspaces in Conv2d.
-        from repro.nn.layers import Conv2d
+    @pytest.mark.parametrize("name", sorted(CACHING_LAYERS))
+    def test_eval_forward_between_train_forward_and_backward(self, rng, name):
+        # An evaluation pass (same shape) must not clobber anything a
+        # pending backward reads: cached columns, masks, activations,
+        # normalisation statistics.  Evaluation therefore gets its own
+        # workspace and fresh scratch, and never writes the cache.
+        make, shape = CACHING_LAYERS[name]
+        x_train = rng.normal(size=shape)
+        x_eval = rng.normal(size=shape)
 
-        conv = Conv2d(2, 3, 3, np.random.default_rng(1), padding=1)
-        x_train = rng.normal(size=(2, 2, 5, 5))
-        grad_out = rng.normal(size=(2, 3, 5, 5))
+        def train_step(layer, interleave):
+            grad_out = np.random.default_rng(2).normal(
+                size=layer.forward(x_train, training=True).shape
+            )
+            if interleave:
+                layer.forward(x_eval, training=False)
+            return layer.backward(grad_out).copy()
 
-        conv.forward(x_train, training=True)
-        conv.forward(rng.normal(size=x_train.shape), training=False)
-        conv.backward(grad_out)
-        got = conv.weight.grad.copy()
-
-        conv.zero_grad()
-        conv.forward(x_train, training=True)
-        conv.backward(grad_out)
-        np.testing.assert_array_equal(got, conv.weight.grad)
+        ref, got = make(), make()
+        expected = train_step(ref, interleave=False)
+        np.testing.assert_array_equal(train_step(got, interleave=True), expected)
+        for p_ref, p_got in zip(ref.parameters(), got.parameters()):
+            np.testing.assert_array_equal(p_got.grad, p_ref.grad)

@@ -11,6 +11,7 @@ from repro.sim import (
     StaleUploadModel,
 )
 from repro.sim.faults import _fault_stream, _ToggleSchedule
+from repro.wire.frame import FRAME_OVERHEAD
 
 
 class TestToggleSchedule:
@@ -111,6 +112,10 @@ class TestClientCrashModel:
         assert trace(5) == trace(5)
 
 
+# A stand-in encoded upload: header plus a 64-byte payload.
+FRAME = bytes(FRAME_OVERHEAD + 64)
+
+
 class TestPayloadCorruptionModel:
     def _bound(self, **kwargs):
         model = PayloadCorruptionModel(**kwargs)
@@ -128,31 +133,42 @@ class TestPayloadCorruptionModel:
     def test_zero_prob_never_corrupts(self):
         model = self._bound(prob=0.0)
         delta = np.ones(100)
-        assert all(model.corrupt(0, delta) is None for _ in range(50))
+        for _ in range(50):
+            out, frame = model.corrupt_upload(0, delta, FRAME)
+            assert out is delta and frame is None
 
     def test_nan_poisoning_leaves_original_untouched(self):
         model = self._bound(prob=1.0, kind="nan")
         delta = np.ones(4000)
-        out = model.corrupt(0, delta)
-        assert out is not None
+        out, frame = model.corrupt_upload(0, delta, FRAME)
+        assert frame is None
         assert np.isnan(out).sum() >= 1
-        assert np.all(delta == 1.0)  # corrupt() returns a copy
+        assert np.all(delta == 1.0)  # the damage lands on a copy
 
-    def test_bitflip_changes_exactly_one_coordinate(self):
+    def test_bitflip_flips_one_payload_bit(self):
         model = self._bound(prob=1.0, kind="bitflip")
         delta = np.full(256, 0.5)
-        out = model.corrupt(0, delta)
-        changed = out.view(np.uint64) != delta.view(np.uint64)
-        assert int(changed.sum()) == 1
+        out, frame = model.corrupt_upload(0, delta, FRAME)
+        assert out is delta
+        flips = np.unpackbits(
+            np.frombuffer(frame, np.uint8) ^ np.frombuffer(FRAME, np.uint8)
+        )
+        assert int(flips.sum()) == 1
+        # Only the CRC-covered payload is hit, never the header.
+        assert int(np.argmax(flips)) // 8 >= FRAME_OVERHEAD
 
     def test_blowup_scales_by_magnitude(self):
         model = self._bound(prob=1.0, kind="blowup", magnitude=1e3)
         delta = np.full(10, 2.0)
-        np.testing.assert_array_equal(model.corrupt(0, delta), np.full(10, 2000.0))
+        out, frame = model.corrupt_upload(0, delta, FRAME)
+        assert frame is None
+        np.testing.assert_array_equal(out, np.full(10, 2000.0))
 
     def test_unknown_client_is_clean(self):
         model = self._bound(prob=1.0, client_ids={0})
-        assert model.corrupt(1, np.ones(5)) is None
+        delta = np.ones(5)
+        out, frame = model.corrupt_upload(1, delta, FRAME)
+        assert out is delta and frame is None
 
 
 class TestStaleUploadModel:
